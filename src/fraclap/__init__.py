@@ -23,13 +23,13 @@ from .operators import (Definition, FracLapRequest, evaluate,
 from .quadrature import GradedPanels, graded_quadrature_rule
 from .riesz import (PotentialRequest, RuleParams, riesz_potential_field,
                     riesz_potential_point)
-from .special import (ConstantMode, FractionalOrder, KernelSpec, gamma_ln,
-                      gamma_value, h_constant, radial_laplacian, riesz_constant)
+from .special import (ConstantMode, FractionalOrder, gamma_ln, gamma_value,
+                      h_constant, radial_laplacian, riesz_constant)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConstantMode", "FractionalOrder", "KernelSpec", "gamma_ln", "gamma_value",
+    "ConstantMode", "FractionalOrder", "gamma_ln", "gamma_value",
     "riesz_constant", "h_constant", "radial_laplacian",
     "Grid1D", "Grid2D", "make_interval_grid", "make_rectangle_grid",
     "TestFunction", "BoundaryData", "boundary_quadrature",

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -47,7 +46,6 @@ def _write_output(args, header, rows, extra_params):
             "version": __version__,
             "command": args.command,
             "parameters": extra_params,
-            "threads": os.environ.get("FRACLAP_THREADS", "0"),
             "notes": _NOTES,
         }
         with open(args.out + ".manifest.json", "w") as fh:

@@ -27,43 +27,29 @@ __all__ = [
     "modal_diffusion_solve",
     "save_matrix_csv",
     "load_matrix_csv",
-    "eigen_report_csv",
 ]
 
 _SYM_TOL = 1e-12
 
 
-def assemble_laplacian_1d(n_interior: int, length: float, method: str = "fd") -> np.ndarray:
-    """Dirichlet Laplacian on a uniform 1D grid: tridiagonal (2, -1)/h^2.
-
-    ``method='fem'`` assembles the P1 stiffness matrix with lumped-mass
-    symmetric scaling M^(-1/2) A M^(-1/2); on a uniform grid this produces
-    the same matrix as the difference stencil.
-    """
+def assemble_laplacian_1d(n_interior: int, length: float) -> np.ndarray:
+    """Dirichlet Laplacian on a uniform 1D grid: tridiagonal (2, -1)/h^2."""
     if n_interior < 2:
         raise ValueError(f"need at least 2 interior nodes, got {n_interior}")
     if not length > 0:
         raise ValueError(f"domain length must be positive, got {length!r}")
     h = length / (n_interior + 1)
-    if method == "fd":
-        return (np.diag(np.full(n_interior, 2.0))
-                + np.diag(np.full(n_interior - 1, -1.0), 1)
-                + np.diag(np.full(n_interior - 1, -1.0), -1)) / h ** 2
-    if method == "fem":
-        stiff = (np.diag(np.full(n_interior, 2.0))
-                 + np.diag(np.full(n_interior - 1, -1.0), 1)
-                 + np.diag(np.full(n_interior - 1, -1.0), -1)) / h
-        mass_inv_sqrt = np.full(n_interior, 1.0 / np.sqrt(h))
-        return mass_inv_sqrt[:, None] * stiff * mass_inv_sqrt[None, :]
-    raise ValueError(f"unknown assembly method {method!r}")
+    return (np.diag(np.full(n_interior, 2.0))
+            + np.diag(np.full(n_interior - 1, -1.0), 1)
+            + np.diag(np.full(n_interior - 1, -1.0), -1)) / h ** 2
 
 
-def assemble_laplacian_2d(nx: int, ny: int, lx: float, ly: float, method: str = "fd") -> np.ndarray:
+def assemble_laplacian_2d(nx: int, ny: int, lx: float, ly: float) -> np.ndarray:
     """Dirichlet 5-point Laplacian on a rectangle, lexicographic ordering."""
     if nx < 2 or ny < 2:
         raise ValueError(f"need at least 2x2 interior nodes, got {nx}x{ny}")
-    ax = assemble_laplacian_1d(nx, lx, method=method)
-    ay = assemble_laplacian_1d(ny, ly, method=method)
+    ax = assemble_laplacian_1d(nx, lx)
+    ay = assemble_laplacian_1d(ny, ly)
     return np.kron(ax, np.eye(ny)) + np.kron(np.eye(nx), ay)
 
 
@@ -172,11 +158,3 @@ def load_matrix_csv(path) -> np.ndarray:
                 continue
             rows.append([float(tok) for tok in line.split(",")])
     return np.asarray(rows, float)
-
-
-def eigen_report_csv(eig: EigenDecomposition, alpha: float) -> str:
-    """Eigenvalue report with header ``index,lambda,lambda_pow``."""
-    lines = ["index,lambda,lambda_pow"]
-    for i, lam in enumerate(eig.eigenvalues):
-        lines.append(f"{i},{lam:.17g},{lam ** alpha:.17g}")
-    return "\n".join(lines) + "\n"

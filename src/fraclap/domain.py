@@ -17,6 +17,7 @@ __all__ = [
     "BoundaryQuadrature",
     "boundary_quadrature",
     "TestFunction",
+    "FieldAdapter",
     "BoundaryData",
 ]
 
@@ -336,6 +337,99 @@ class TestFunction:
                             _value=val, _gradient=grad, _laplacian=lap, _hessian=hess)
 
 
+class FieldAdapter:
+    """Uniform access to phi, an analytic TestFunction or nodal samples.
+
+    ``value`` and ``laplacian`` take (N, dim) points.  Samples are
+    interpolated piecewise linearly (1D) or bilinearly (2D); their Laplacian
+    is the interpolated second-order difference Laplacian, built on demand.
+    """
+
+    def __init__(self, grid, phi):
+        self.grid = grid
+        self.dim = grid.dim
+        self.analytic = isinstance(phi, TestFunction)
+        if self.analytic:
+            self.tf = phi
+            return
+        self.samples = np.asarray(phi, float)
+        shape = grid.nodes.shape if self.dim == 1 else (grid.nx, grid.ny)
+        if self.samples.shape != shape:
+            raise ValueError(f"samples must have shape {shape}, got {self.samples.shape}")
+        self._value = self._interpolant(self.samples)
+
+    def _interpolant(self, values):
+        grid = self.grid
+        if self.dim == 1:
+            return lambda pts: np.interp(pts[:, 0], grid.nodes, values)
+        from scipy.interpolate import RegularGridInterpolator
+        interp = RegularGridInterpolator((grid.x_nodes, grid.y_nodes), values,
+                                         method="linear", bounds_error=False, fill_value=None)
+        return lambda pts: interp(pts)
+
+    def _discrete_laplacian(self):
+        """Second-order FD Laplacian of the samples, edges copied from neighbors."""
+        v = self.samples
+        if self.dim == 1:
+            h = self.grid.spacing
+            lap = np.empty_like(v)
+            lap[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h ** 2
+            lap[0], lap[-1] = lap[1], lap[-2]
+            return lap
+        hx = (self.grid.b1 - self.grid.a1) / (self.grid.nx - 1)
+        hy = (self.grid.b2 - self.grid.a2) / (self.grid.ny - 1)
+        lap = np.zeros_like(v)
+        lap[1:-1, 1:-1] = ((v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / hx ** 2
+                           + (v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / hy ** 2)
+        lap[0, :], lap[-1, :] = lap[1, :], lap[-2, :]
+        lap[:, 0], lap[:, -1] = lap[:, 1], lap[:, -2]
+        return lap
+
+    def value(self, pts):
+        if self.analytic:
+            return self.tf._value(pts)
+        return self._value(pts)
+
+    def laplacian(self, pts):
+        if self.analytic:
+            return self.tf._laplacian(pts)
+        return self._interpolant(self._discrete_laplacian())(pts)
+
+    def value_at(self, x):
+        return float(self.value(np.asarray(x, float).reshape(1, self.dim))[0])
+
+    def gradient_at(self, x):
+        x = np.asarray(x, float).reshape(self.dim)
+        if self.analytic:
+            return np.atleast_1d(self.tf.gradient(x if self.dim > 1 else x[0]))
+        h = 1e-5 * max(1.0, self.grid.diameter)
+        g = np.empty(self.dim)
+        for i in range(self.dim):
+            e = np.zeros(self.dim)
+            e[i] = h
+            g[i] = (self.value_at(x + e) - self.value_at(x - e)) / (2 * h)
+        return g
+
+    def hessian_at(self, x):
+        x = np.asarray(x, float).reshape(self.dim)
+        if self.analytic:
+            return np.atleast_2d(self.tf.hessian(x if self.dim > 1 else x[0]))
+        h = 2e-4 * max(1.0, self.grid.diameter)
+        H = np.empty((self.dim, self.dim))
+        f0 = self.value_at(x)
+        for i in range(self.dim):
+            ei = np.zeros(self.dim)
+            ei[i] = h
+            H[i, i] = (self.value_at(x + ei) - 2 * f0 + self.value_at(x - ei)) / h ** 2
+            for j in range(i + 1, self.dim):
+                ej = np.zeros(self.dim)
+                ej[j] = h
+                H[i, j] = H[j, i] = (self.value_at(x + ei + ej) - self.value_at(x + ei - ej)
+                                     - self.value_at(x - ei + ej) + self.value_at(x - ei - ej)
+                                     ) / (4 * h ** 2)
+        return H
+
+
 @dataclass(frozen=True)
 class BoundaryData:
     """Dirichlet and Neumann traces at the points of a boundary quadrature.
@@ -356,14 +450,8 @@ class BoundaryData:
     @classmethod
     def from_function(cls, bq: BoundaryQuadrature, f: TestFunction) -> "BoundaryData":
         """Exact traces of an analytic field on every quadrature point."""
-        d = f.value(bq.points) if bq.dim == 2 else np.asarray(
-            [f.value(p) for p in bq.points])
-        if bq.dim == 2:
-            n = f.normal_derivative(bq.points, bq.normals)
-        else:
-            n = np.asarray([f.value(p) * 0.0 + f.gradient(p) * nv
-                            for p, nv in zip(bq.points, bq.normals)])
-        return cls(quadrature=bq, dirichlet=np.asarray(d, float), neumann=np.asarray(n, float))
+        return cls(quadrature=bq, dirichlet=np.asarray(f.value(bq.points), float),
+                   neumann=np.asarray(f.normal_derivative(bq.points, bq.normals), float))
 
     @classmethod
     def from_values(cls, bq: BoundaryQuadrature, dirichlet, neumann) -> "BoundaryData":

@@ -49,25 +49,16 @@ def volume_quadrature(grid, gauss_order=DEFAULT_GAUSS_ORDER):
 def green_residual(grid, phi, v, gauss_order=DEFAULT_GAUSS_ORDER, panels_per_edge=None) -> float:
     """Absolute residual of Green's second identity for the pair (phi, v)."""
     pts, wts = volume_quadrature(grid, gauss_order)
-    if grid.dim == 1:
-        phi_v, v_v = phi.value(pts), v.value(pts)
-        phi_l, v_l = phi.laplacian(pts), v.laplacian(pts)
-    else:
-        phi_v, v_v = phi.value(pts), v.value(pts)
-        phi_l, v_l = phi.laplacian(pts), v.laplacian(pts)
+    phi_v, v_v = phi.value(pts), v.value(pts)
+    phi_l, v_l = phi.laplacian(pts), v.laplacian(pts)
     for arr in (phi_v, v_v, phi_l, v_l):
         if not np.all(np.isfinite(arr)):
             raise ValueError("green_residual requires both fields to be "
                              "finite on the whole closed domain")
     lhs = float(np.sum(wts * (v_v * phi_l - phi_v * v_l)))
     bq = boundary_quadrature(grid, panels_per_edge=panels_per_edge, gauss_order=gauss_order)
-    if grid.dim == 1:
-        surf = sum(w * (v.value(p) * phi.normal_derivative(p, n)
-                        - phi.value(p) * v.normal_derivative(p, n))
-                   for p, n, w in bq)
-    else:
-        surf = float(np.sum(bq.weights * (v.value(bq.points)
-                                          * phi.normal_derivative(bq.points, bq.normals)
-                                          - phi.value(bq.points)
-                                          * v.normal_derivative(bq.points, bq.normals))))
+    surf = float(np.sum(bq.weights * (v.value(bq.points)
+                                      * phi.normal_derivative(bq.points, bq.normals)
+                                      - phi.value(bq.points)
+                                      * v.normal_derivative(bq.points, bq.normals))))
     return abs(lhs - surf)

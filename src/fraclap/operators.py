@@ -30,9 +30,9 @@ from enum import Enum
 
 import numpy as np
 
-from .domain import BoundaryData, TestFunction, boundary_quadrature
+from .domain import BoundaryData, FieldAdapter, boundary_quadrature
 from .errors import MissingBoundaryData, UnsupportedOperation
-from .riesz import PotentialRequest, RuleParams, riesz_potential_point
+from .riesz import PotentialRequest, RuleParams, _nodes_2d, riesz_potential_point
 from .special import ConstantMode, FractionalOrder, h_constant, riesz_constant
 
 __all__ = ["Definition", "FracLapRequest", "fraclap_restated", "fraclap_hypersingular",
@@ -48,97 +48,7 @@ class Definition(Enum):
 
     @classmethod
     def parse(cls, name):
-        for d in cls:
-            if d.value == str(name).lower():
-                return d
-        raise ValueError(f"unknown definition {name!r}")
-
-
-class _Field:
-    """Uniform access to phi: analytic TestFunction or nodal samples."""
-
-    def __init__(self, grid, phi):
-        self.grid = grid
-        self.dim = grid.dim
-        if isinstance(phi, TestFunction):
-            self.analytic = True
-            self.tf = phi
-        else:
-            self.analytic = False
-            self.samples = np.asarray(phi, float)
-            self._value = self._build_interpolant(self.samples)
-            self._lap_interp = self._build_interpolant(self._discrete_laplacian())
-
-    def _build_interpolant(self, values):
-        grid = self.grid
-        if self.dim == 1:
-            return lambda pts: np.interp(pts[:, 0], grid.nodes, values)
-        from scipy.interpolate import RegularGridInterpolator
-        interp = RegularGridInterpolator((grid.x_nodes, grid.y_nodes), values,
-                                         method="linear", bounds_error=False, fill_value=None)
-        return lambda pts: interp(pts)
-
-    def _discrete_laplacian(self):
-        """Second-order FD Laplacian of the samples, edges copied from neighbors."""
-        v = self.samples
-        if self.dim == 1:
-            h = self.grid.spacing
-            lap = np.empty_like(v)
-            lap[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h ** 2
-            lap[0], lap[-1] = lap[1], lap[-2]
-            return lap
-        hx = (self.grid.b1 - self.grid.a1) / (self.grid.nx - 1)
-        hy = (self.grid.b2 - self.grid.a2) / (self.grid.ny - 1)
-        lap = np.zeros_like(v)
-        lap[1:-1, 1:-1] = ((v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / hx ** 2
-                           + (v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / hy ** 2)
-        lap[0, :], lap[-1, :] = lap[1, :], lap[-2, :]
-        lap[:, 0], lap[:, -1] = lap[:, 1], lap[:, -2]
-        return lap
-
-    def value(self, pts):
-        if self.analytic:
-            return self.tf._value(pts)
-        return self._value(pts)
-
-    def laplacian(self, pts):
-        if self.analytic:
-            return self.tf._laplacian(pts)
-        return self._lap_interp(pts)
-
-    def value_at(self, x):
-        return float(self.value(np.asarray(x, float).reshape(1, self.dim))[0])
-
-    def gradient_at(self, x):
-        x = np.asarray(x, float).reshape(self.dim)
-        if self.analytic:
-            return np.atleast_1d(self.tf.gradient(x if self.dim > 1 else x[0]))
-        h = 1e-5 * max(1.0, self.grid.diameter)
-        g = np.empty(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = h
-            g[i] = (self.value_at(x + e) - self.value_at(x - e)) / (2 * h)
-        return g
-
-    def hessian_at(self, x):
-        x = np.asarray(x, float).reshape(self.dim)
-        if self.analytic:
-            return np.atleast_2d(self.tf.hessian(x if self.dim > 1 else x[0]))
-        h = 2e-4 * max(1.0, self.grid.diameter)
-        H = np.empty((self.dim, self.dim))
-        f0 = self.value_at(x)
-        for i in range(self.dim):
-            ei = np.zeros(self.dim)
-            ei[i] = h
-            H[i, i] = (self.value_at(x + ei) - 2 * f0 + self.value_at(x - ei)) / h ** 2
-            for j in range(i + 1, self.dim):
-                ej = np.zeros(self.dim)
-                ej[j] = h
-                H[i, j] = H[j, i] = (self.value_at(x + ei + ej) - self.value_at(x + ei - ej)
-                                     - self.value_at(x - ei + ej) + self.value_at(x - ei - ej)
-                                     ) / (4 * h ** 2)
-        return H
+        return cls(str(name).lower())
 
 
 @dataclass(frozen=True)
@@ -178,16 +88,12 @@ class FracLapRequest:
         return dist
 
     def fld(self):
-        return _Field(self.grid, self.phi)
+        return FieldAdapter(self.grid, self.phi)
 
     def bq(self):
         if self.boundary is not None:
             return self.boundary.quadrature
         return boundary_quadrature(self.grid)
-
-
-def _nodes_2d(rule):
-    return rule.nodes if rule.dim == 2 else rule.nodes.reshape(-1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -227,25 +133,17 @@ def fraclap_restated(req: FracLapRequest, x) -> float:
 # ---------------------------------------------------------------------------
 # Hadamard finite part of the r^-(d+s) convolution
 
-def _finite_part_volume(req: FracLapRequest, fld: _Field, x) -> float:
+def _finite_part_volume(req: FracLapRequest, fld: FieldAdapter, x) -> float:
     """f.p. integral of phi(xi) r^-(d+s) over the domain, x interior."""
     grid, s, d = req.grid, req.s, req.grid.dim
     rule = req.rule.build(grid, x)
     px = fld.value_at(x)
     gx = fld.gradient_at(x)
-    lap_x = None
     # numeric part: two-term Taylor remainder against the weakly singular kernel
     nodes = _nodes_2d(rule)
     xi = np.asarray(x, float).reshape(d)
     rem = fld.value(nodes) - px - (nodes - xi) @ gx
-    keep = np.ones(len(rem), bool)
-    keep[rule.core_slice] = False
-    mag = np.abs(rem[keep])
-    lt = np.log(rule.weights[keep]) - (d + s) * np.log(rule.dist[keep])
-    term = np.where(mag > 0.0,
-                    np.sign(rem[keep]) * np.exp(lt + np.log(np.where(mag > 0.0, mag, 1.0))),
-                    0.0)
-    num = float(np.sum(term))
+    num = rule.integrate_kernel(-(d + s), rem, skip_core=True)
     if d == 1:
         a, b = grid.a, grid.b
         xf = float(xi[0])

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import Grid1D, Grid2D, TestFunction
+from .domain import FieldAdapter
 from .quadrature import (DEFAULT_GAUSS_ORDER, DEFAULT_RATIO, GradedPanels,
                          graded_quadrature_rule)
 from .special import ConstantMode, riesz_constant
@@ -33,19 +33,9 @@ class RuleParams:
                                       angular_panels=self.angular_panels)
 
 
-def _sampled_field(grid, values):
-    """Piecewise-linear (1D) / bilinear (2D) interpolant of nodal samples."""
-    values = np.asarray(values, float)
-    if grid.dim == 1:
-        if values.shape != grid.nodes.shape:
-            raise ValueError("sample count must match grid nodes")
-        return lambda pts: np.interp(pts[:, 0], grid.nodes, values)
-    if values.shape != (grid.nx, grid.ny):
-        raise ValueError(f"samples must have shape ({grid.nx}, {grid.ny})")
-    from scipy.interpolate import RegularGridInterpolator
-    interp = RegularGridInterpolator((grid.x_nodes, grid.y_nodes), values,
-                                     method="linear", bounds_error=False, fill_value=None)
-    return lambda pts: interp(pts)
+def _nodes_2d(rule):
+    """Rule nodes as (N, dim) points."""
+    return rule.nodes if rule.dim == 2 else rule.nodes.reshape(-1, 1)
 
 
 @dataclass(frozen=True)
@@ -67,12 +57,7 @@ class PotentialRequest:
 
     def field_values(self):
         """Callable evaluating phi at (N, dim) points."""
-        if isinstance(self.phi, TestFunction):
-            f = self.phi
-            if self.grid.dim == 1:
-                return lambda pts: f.value(pts[:, 0])
-            return lambda pts: f.value(pts)
-        return _sampled_field(self.grid, self.phi)
+        return FieldAdapter(self.grid, self.phi).value
 
 
 def riesz_potential_point(req: PotentialRequest, x) -> float:
@@ -82,8 +67,7 @@ def riesz_potential_point(req: PotentialRequest, x) -> float:
     c = riesz_constant(d, req.sigma, req.mode)
     rule = req.rule.build(grid, x)
     f = req.field_values()
-    nodes = rule.nodes if d == 2 else rule.nodes.reshape(-1, 1)
-    return c * rule.integrate_kernel(req.sigma - d, f(nodes))
+    return c * rule.integrate_kernel(req.sigma - d, f(_nodes_2d(rule)))
 
 
 def riesz_potential_field(req: PotentialRequest):

@@ -1,4 +1,9 @@
-"""Gamma machinery, Riesz normalization constants, and the radial kernel identity.
+"""Gamma with pole checks, Riesz normalization constants, and the radial
+kernel identity.
+
+Gamma values come from the standard library (``math.gamma``,
+``math.lgamma``); the wrappers here only reject arguments at or near the
+poles, where the normalization constants blow up.
 
 The Riesz potential of order ``sigma`` carries the constant
 
@@ -21,28 +26,12 @@ from .errors import DegenerateExponent, GammaPole
 __all__ = [
     "ConstantMode",
     "FractionalOrder",
-    "KernelSpec",
     "gamma_ln",
     "gamma_value",
     "riesz_constant",
     "h_constant",
     "radial_laplacian",
 ]
-
-# Lanczos approximation, g = 7, 9 coefficients.  Relative accuracy is well
-# below 1e-13 for positive arguments in double precision.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 _POLE_TOL = 1e-8
 
@@ -55,30 +44,14 @@ class ConstantMode(Enum):
 
     @classmethod
     def parse(cls, name):
-        for mode in cls:
-            if mode.value == str(name).lower():
-                return mode
-        raise ValueError(f"unknown constant mode {name!r}")
-
-
-def _lanczos_ln(x):
-    """ln Gamma(x) for x >= 0.5."""
-    x = x - 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x + 0.5) * math.log(t) - t + math.log(acc)
+        return cls(str(name).lower())
 
 
 def gamma_ln(x: float) -> float:
     """Natural log of the gamma function for positive real x."""
     if not x > 0.0:
         raise ValueError(f"gamma_ln requires x > 0, got {x!r}")
-    if x >= 0.5:
-        return _lanczos_ln(x)
-    # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x); x in (0, 0.5) so all positive
-    return math.log(math.pi / math.sin(math.pi * x)) - _lanczos_ln(1.0 - x)
+    return math.lgamma(x)
 
 
 def _near_nonpositive_integer(x, tol=_POLE_TOL):
@@ -88,16 +61,12 @@ def _near_nonpositive_integer(x, tol=_POLE_TOL):
 def gamma_value(x: float, context: str = "") -> float:
     """Gamma(x) for any real x away from the poles, with correct sign.
 
-    Negative non-integer arguments are handled through the reflection
-    formula; arguments within ``1e-8`` of a non-positive integer raise
+    Arguments within ``1e-8`` of a non-positive integer raise
     :class:`GammaPole` (the constants overflow before the exact pole).
     """
     if _near_nonpositive_integer(x):
         raise GammaPole(x, context)
-    if x >= 0.5:
-        return math.exp(_lanczos_ln(x))
-    # Gamma(x) = pi / (sin(pi x) Gamma(1-x)); sin carries the sign
-    return math.pi / (math.sin(math.pi * x) * math.exp(_lanczos_ln(1.0 - x)))
+    return math.gamma(x)
 
 
 @dataclass(frozen=True)
@@ -121,21 +90,6 @@ class FractionalOrder:
         if _near_nonpositive_integer(arg):
             raise GammaPole(arg, f"(d-2+s)/2 with d={d}, s={self.s}")
         return self
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Riesz kernel description: constant * r^(-exponent) in dimension d."""
-
-    d: int
-    sigma: float
-    exponent: float
-    constant: float
-
-    @classmethod
-    def make(cls, d: int, sigma: float, mode: ConstantMode = ConstantMode.PAPER):
-        return cls(d=d, sigma=sigma, exponent=d - sigma,
-                   constant=riesz_constant(d, sigma, mode))
 
 
 def riesz_constant(d: int, sigma: float, mode: ConstantMode = ConstantMode.PAPER) -> float:

@@ -179,7 +179,7 @@ class TestReproducibility:
         manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
         assert manifest["command"] == "potential"
         assert manifest["parameters"]["sigma"] == 0.5
-        assert "version" in manifest and "threads" in manifest
+        assert "version" in manifest
 
     def test_seventeen_digit_output(self, tmp_path):
         out = tmp_path / "p.csv"

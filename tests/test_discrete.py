@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from fraclap.discrete import (EigenDecomposition, apply_fraclap_discrete,
                               assemble_laplacian_1d, assemble_laplacian_2d,
-                              eigen_report_csv, laplacian_1d_eigenvalues,
+                              laplacian_1d_eigenvalues,
                               load_matrix_csv, matrix_fractional_power,
                               modal_diffusion_solve, save_matrix_csv,
                               sym_eigendecompose)
@@ -21,11 +21,6 @@ class TestAssembly:
                            [-1.0, 2.0, -1.0],
                            [0.0, -1.0, 2.0]]) / h ** 2
         np.testing.assert_allclose(K, expect, rtol=1e-15)
-
-    def test_fem_equals_fd_on_uniform_grid(self):
-        Kfd = assemble_laplacian_1d(10, 2.0, method="fd")
-        Kfem = assemble_laplacian_1d(10, 2.0, method="fem")
-        np.testing.assert_allclose(Kfem, Kfd, rtol=1e-13)
 
     def test_rectangle_kron_structure(self):
         K = assemble_laplacian_2d(3, 4, 1.0, 2.0)
@@ -190,12 +185,3 @@ class TestSerialization:
         path = tmp_path / "k.csv"
         save_matrix_csv(path, K)
         np.testing.assert_array_equal(load_matrix_csv(path), K)
-
-    def test_eigen_report_header(self):
-        eig = sym_eigendecompose(assemble_laplacian_1d(4, 1.0))
-        report = eigen_report_csv(eig, 0.5)
-        lines = report.strip().split("\n")
-        assert lines[0] == "index,lambda,lambda_pow"
-        assert len(lines) == 5
-        idx, lam, pw = lines[1].split(",")
-        assert float(pw) == pytest.approx(float(lam) ** 0.5, rel=1e-15)

@@ -193,6 +193,24 @@ class TestSampledFieldInput:
         vs = fraclap_new(_req(grid, phi.value(grid.nodes), s), x)
         assert vs == pytest.approx(va, rel=5e-2)
 
+    @pytest.mark.parametrize("dim,definition", [
+        (1, Definition.NEW), (1, Definition.HYPERSINGULAR),
+        (2, Definition.NEW), (2, Definition.AUGMENTED)])
+    def test_misshaped_samples_rejected(self, dim, definition):
+        if dim == 1:
+            grid, x = make_interval_grid(0.0, 1.0, 21), [0.5]
+            phi = TestFunction.gaussian_bump([0.5], 0.25)
+            samples = np.zeros(11)
+        else:
+            grid, x = make_rectangle_grid(0, 1, 0, 1, 9, 9), [[0.5, 0.5]]
+            phi = TestFunction.gaussian_bump([0.5, 0.5], 0.3)
+            samples = np.zeros((9, 7))
+        boundary = BoundaryData.from_function(boundary_quadrature(grid), phi)
+        req = _req(grid, samples, 0.75, definition=definition,
+                   boundary=boundary, eval_points=x)
+        with pytest.raises(ValueError, match="samples must have shape"):
+            evaluate(req)
+
 
 class TestValidationAndErrors:
     def test_s_out_of_range(self):

@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from fraclap.special import (ConstantMode, FractionalOrder, KernelSpec,
-                             gamma_ln, gamma_value, h_constant,
-                             radial_laplacian, riesz_constant)
+from fraclap.special import (ConstantMode, FractionalOrder, gamma_ln,
+                             gamma_value, h_constant, radial_laplacian,
+                             riesz_constant)
 from fraclap.errors import DegenerateExponent, GammaPole
 
 
 class TestGamma:
     def test_positive_arguments_match_stdlib(self):
-        # math.gamma uses an independent implementation (platform tgamma).
+        # gamma_value passes arguments away from the poles to math.gamma.
         for x in [0.25, 0.5, 1.0, 1.5, 2.0, 3.75, 7.5, 12.0, 30.5, 0.001]:
             assert gamma_value(x) == pytest.approx(math.gamma(x), rel=1e-12)
 
@@ -47,7 +47,7 @@ class TestGamma:
 class TestRieszConstant:
     # Oracle: c(d, sigma) = gamma((d - sigma)/2) / (pi^p * 2^sigma * gamma(sigma/2))
     # with p = sigma/2 in "paper" mode and p = d/2 in "standard" mode,
-    # evaluated with math.gamma (independent of the Lanczos path under test).
+    # evaluated directly with math.gamma.
     def _oracle(self, d, sigma, mode):
         p = sigma / 2.0 if mode == ConstantMode.PAPER else d / 2.0
         return math.gamma((d - sigma) / 2.0) / (
@@ -136,12 +136,3 @@ class TestRadialLaplacian:
                 d2f=lambda rr: beta * (beta + 1.0) * rr ** (-beta - 2.0))
             rhs = beta * s * r ** (-(d + s))
             assert abs(lhs - rhs) <= 1e-6 * abs(rhs)
-
-
-class TestKernelSpec:
-    def test_make(self):
-        spec = KernelSpec.make(1, 0.5, ConstantMode.PAPER)
-        assert spec.d == 1
-        assert spec.exponent == pytest.approx(0.5)  # d - sigma
-        assert spec.constant == pytest.approx(
-            riesz_constant(1, 0.5, ConstantMode.PAPER))
