@@ -21,6 +21,7 @@ from . import __version__, discrete
 from .domain import BoundaryData, TestFunction, boundary_quadrature, make_interval_grid, make_rectangle_grid
 from .errors import FracLapError, GammaPole, MissingBoundaryData, NotPositiveDefinite, NotSymmetric, UnsupportedOperation
 from .operators import Definition, FracLapRequest, evaluate
+from .quadrature import DEFAULT_GAUSS_ORDER, DEFAULT_RATIO
 from .riesz import PotentialRequest, RuleParams, riesz_potential_field
 from .special import ConstantMode
 from .validate import run_suite
@@ -316,8 +317,8 @@ def _cmd_diffuse(args):
 def _add_rule_flags(p):
     p.add_argument("--constant", choices=["paper", "standard"], default="paper")
     p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--ratio", type=float, default=0.5)
-    p.add_argument("--gauss", type=int, default=8)
+    p.add_argument("--ratio", type=float, default=DEFAULT_RATIO)
+    p.add_argument("--gauss", type=int, default=DEFAULT_GAUSS_ORDER)
     p.add_argument("--out", default=None)
 
 

@@ -51,9 +51,6 @@ class Grid1D:
     def measure(self):
         return self.b - self.a
 
-    def boundary_points(self):
-        return [(self.a, -1.0), (self.b, 1.0)]
-
     def distance_to_boundary(self, x):
         x = float(np.asarray(x).reshape(()))
         return min(x - self.a, self.b - x)
@@ -146,31 +143,31 @@ class BoundaryQuadrature:
     weights: np.ndarray  # (M,)
     dim: int
 
-    def __iter__(self):
-        return iter(zip(self.points, self.normals, self.weights))
-
     def __len__(self):
         return len(self.weights)
 
 
-def boundary_quadrature(grid, panels_per_edge=None, gauss_order=DEFAULT_GAUSS_ORDER) -> BoundaryQuadrature:
-    """Surface quadrature: endpoint rule in 1D, composite Gauss per edge in 2D."""
+def boundary_quadrature(grid, gauss_order=DEFAULT_GAUSS_ORDER) -> BoundaryQuadrature:
+    """Surface quadrature: endpoint rule in 1D, composite Gauss per edge in 2D.
+
+    In 2D every edge is split into ``max(nx, ny) - 1`` equal panels, the
+    number of cells along the grid's longer direction, whatever the edge's
+    length.
+    """
     if grid.dim == 1:
         return BoundaryQuadrature(points=np.array([grid.a, grid.b]),
                                   normals=np.array([-1.0, 1.0]),
                                   weights=np.array([1.0, 1.0]), dim=1)
+    npan = max(grid.nx, grid.ny) - 1
+    j = np.arange(npan)
+    t, w = gauss_panel(j / npan, (j + 1) / npan, gauss_order)
     pts, nrm, wts = [], [], []
     for start, end, normal in grid.edges():
         tangent = end - start
         length = float(np.hypot(*tangent))
-        npan = panels_per_edge
-        if npan is None:
-            npan = max(grid.nx, grid.ny) - 1
-        for j in range(npan):
-            t, w = gauss_panel(j / npan, (j + 1) / npan, gauss_order)
-            pts.append(start[None, :] + t[:, None] * tangent[None, :])
-            nrm.append(np.broadcast_to(normal, (len(t), 2)))
-            wts.append(w * length)
+        pts.append(start[None, :] + t[:, None] * tangent[None, :])
+        nrm.append(np.broadcast_to(normal, (len(t), 2)))
+        wts.append(w * length)
     return BoundaryQuadrature(points=np.vstack(pts), normals=np.vstack(nrm),
                               weights=np.concatenate(wts), dim=2)
 

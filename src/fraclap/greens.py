@@ -22,32 +22,21 @@ __all__ = ["volume_quadrature", "green_residual"]
 def volume_quadrature(grid, gauss_order=DEFAULT_GAUSS_ORDER):
     """Per-cell tensor Gauss rule over the whole domain; (points, weights)."""
     if grid.dim == 1:
-        pts, wts = [], []
-        for lo, hi in zip(grid.nodes[:-1], grid.nodes[1:]):
-            x, w = gauss_panel(lo, hi, gauss_order)
-            pts.append(x)
-            wts.append(w)
-        return np.concatenate(pts), np.concatenate(wts)
-    px, wx = [], []
-    for lo, hi in zip(grid.x_nodes[:-1], grid.x_nodes[1:]):
-        x, w = gauss_panel(lo, hi, gauss_order)
-        px.append(x)
-        wx.append(w)
-    py, wy = [], []
-    for lo, hi in zip(grid.y_nodes[:-1], grid.y_nodes[1:]):
-        y, w = gauss_panel(lo, hi, gauss_order)
-        py.append(y)
-        wy.append(w)
-    px, wx = np.concatenate(px), np.concatenate(wx)
-    py, wy = np.concatenate(py), np.concatenate(wy)
+        return gauss_panel(grid.nodes[:-1], grid.nodes[1:], gauss_order)
+    px, wx = gauss_panel(grid.x_nodes[:-1], grid.x_nodes[1:], gauss_order)
+    py, wy = gauss_panel(grid.y_nodes[:-1], grid.y_nodes[1:], gauss_order)
     gx, gy = np.meshgrid(px, py, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     wts = np.outer(wx, wy).ravel()
     return pts, wts
 
 
-def green_residual(grid, phi, v, gauss_order=DEFAULT_GAUSS_ORDER, panels_per_edge=None) -> float:
-    """Absolute residual of Green's second identity for the pair (phi, v)."""
+def green_residual(grid, phi, v, gauss_order=DEFAULT_GAUSS_ORDER) -> float:
+    """Absolute residual of Green's second identity for the pair (phi, v).
+
+    The volume side uses ``volume_quadrature`` and the surface side
+    ``boundary_quadrature``, both with ``gauss_order`` points per panel.
+    """
     pts, wts = volume_quadrature(grid, gauss_order)
     phi_v, v_v = phi.value(pts), v.value(pts)
     phi_l, v_l = phi.laplacian(pts), v.laplacian(pts)
@@ -56,7 +45,7 @@ def green_residual(grid, phi, v, gauss_order=DEFAULT_GAUSS_ORDER, panels_per_edg
             raise ValueError("green_residual requires both fields to be "
                              "finite on the whole closed domain")
     lhs = float(np.sum(wts * (v_v * phi_l - phi_v * v_l)))
-    bq = boundary_quadrature(grid, panels_per_edge=panels_per_edge, gauss_order=gauss_order)
+    bq = boundary_quadrature(grid, gauss_order=gauss_order)
     surf = float(np.sum(bq.weights * (v.value(bq.points)
                                       * phi.normal_derivative(bq.points, bq.normals)
                                       - phi.value(bq.points)

@@ -7,6 +7,12 @@ panel sees an analytic integrand; the innermost cell (which touches the
 singularity) is covered by tanh-sinh nodes whose distances to the singular
 point are tracked exactly, so kernels can be evaluated from the stored
 distance instead of a cancellation-prone position difference.
+
+One radial rule in the distance from the singular point serves both
+dimensions: it covers each side of the point in 1D and the radial
+coordinate of every corner triangle's Duffy fan in 2D.  ``gauss_panel`` is
+the only composite Gauss builder; it maps one Legendre rule onto all the
+panels of a rule at once.
 """
 
 from __future__ import annotations
@@ -21,19 +27,23 @@ DEFAULT_RATIO = 0.5
 DEFAULT_GAUSS_ORDER = 8
 DEFAULT_LEVELS_1D = 14
 DEFAULT_LEVELS_2D = 10
-DEFAULT_ANGULAR_PANELS = 4
 
-_TS_N = 30
-_TS_TMAX = 6.0
+_ANGULAR_PANELS = 4   # Gauss panels along each corner triangle's far edge
 
 
 def gauss_panel(a, b, order):
-    """Gauss-Legendre nodes and weights on [a, b]."""
+    """Composite Gauss-Legendre rule on the panels [a[i], b[i]].
+
+    ``a`` and ``b`` are panel ends, scalars or arrays of one shape.  The
+    nodes and weights come back flattened panel by panel, each panel's in
+    ascending Legendre order; a scalar pair gives the plain rule on [a, b].
+    """
     x, w = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w
+    a, b = np.asarray(a, float)[..., None], np.asarray(b, float)[..., None]
+    return (0.5 * (a + b) + 0.5 * (b - a) * x).ravel(), (0.5 * (b - a) * w).ravel()
 
 
-def _tanh_sinh_unit(n=_TS_N, tmax=_TS_TMAX):
+def _tanh_sinh_unit(n, tmax):
     """Tanh-sinh rule on (0, 1], nodes returned as distances from 0.
 
     Distances are computed as 1/(1+exp(-2z)) so they stay meaningful far
@@ -49,17 +59,20 @@ def _tanh_sinh_unit(n=_TS_N, tmax=_TS_TMAX):
     return delta[keep], w[keep]
 
 
-def _composite_gauss01(n_panels, order):
-    xs, ws = [], []
-    for j in range(n_panels):
-        x, w = gauss_panel(j / n_panels, (j + 1) / n_panels, order)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+_TS_DELTA, _TS_WEIGHTS = _tanh_sinh_unit(n=30, tmax=6.0)
 
 
-def _radial_levels(levels, ratio):
-    return [ratio ** k for k in range(levels + 1)]
+def _radial_rule(length, levels, ratio, order):
+    """Graded rule in the distance r from a singular point, r in (0, length].
+
+    Returns the outer Gauss nodes and weights (panels [length*ratio^(k+1),
+    length*ratio^k], outermost first), the tanh-sinh core nodes and weights
+    on (0, h], and the core radius h = length * ratio^levels.
+    """
+    radii = length * np.array([ratio ** k for k in range(levels + 1)])
+    r, w = gauss_panel(radii[1:], radii[:-1], order)
+    h = float(radii[-1])
+    return r, w, h * _TS_DELTA, h * _TS_WEIGHTS, h
 
 
 @dataclass
@@ -83,7 +96,6 @@ class GradedPanels:
     """
 
     dim: int
-    singular_point: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
     dist: np.ndarray
@@ -124,48 +136,33 @@ def _graded_rule_interval(a, b, xs, levels, ratio, order):
         length = hi - lo
         if length <= 0.0:
             continue
-        radii = [length * rk for rk in _radial_levels(levels, ratio)]
-        for k in range(levels):
-            r, w = gauss_panel(radii[k + 1], radii[k], order)
-            pos.append(hi - r if sing_at_hi else lo + r)
-            wts.append(w)
-            dist.append(r)
-        h = radii[-1]
-        dl, wl = _tanh_sinh_unit()
-        r = h * dl
-        core_pos.append(hi - r if sing_at_hi else lo + r)
-        core_w.append(h * wl)
-        core_d.append(r)
+        r, w, rc, wc, h = _radial_rule(length, levels, ratio, order)
+        pos.append(hi - r if sing_at_hi else lo + r)
+        wts.append(w)
+        dist.append(r)
+        core_pos.append(hi - rc if sing_at_hi else lo + rc)
+        core_w.append(wc)
+        core_d.append(rc)
         core_radii.append(h)
     n_outer = sum(len(p) for p in pos)
     nodes = np.concatenate(pos + core_pos)
     weights = np.concatenate(wts + core_w)
     dists = np.concatenate(dist + core_d)
     return GradedPanels(
-        dim=1, singular_point=np.asarray([xs], float),
-        nodes=nodes, weights=weights, dist=dists,
+        dim=1, nodes=nodes, weights=weights, dist=dists,
         core_slice=slice(n_outer, len(nodes)),
         core_radii_1d=tuple(core_radii),
     )
 
 
-def _graded_rule_rectangle(rect, xs, levels, ratio, order, angular_panels):
+def _graded_rule_rectangle(rect, xs, levels, ratio, order):
     a1, b1, a2, b2 = rect
     xs = np.asarray(xs, float)
     corners = [np.array([a1, a2]), np.array([b1, a2]),
                np.array([b1, b2]), np.array([a1, b2])]
-    radii = _radial_levels(levels, ratio)
-    u_out, wu_out = [], []
-    for k in range(levels):
-        u, w = gauss_panel(radii[k + 1], radii[k], order)
-        u_out.append(u)
-        wu_out.append(w)
-    u_outer = np.concatenate(u_out)
-    wu_outer = np.concatenate(wu_out)
-    u0 = radii[-1]
-    dl, wl = _tanh_sinh_unit()
-    u_core, wu_core = u0 * dl, u0 * wl
-    v, wv = _composite_gauss01(angular_panels, order)
+    u_outer, wu_outer, u_core, wu_core, u0 = _radial_rule(1.0, levels, ratio, order)
+    j = np.arange(_ANGULAR_PANELS)
+    v, wv = gauss_panel(j / _ANGULAR_PANELS, (j + 1) / _ANGULAR_PANELS, order)
 
     def fan_blocks(u, wu):
         pts, wts, dist, tris = [], [], [], []
@@ -194,16 +191,14 @@ def _graded_rule_rectangle(rect, xs, levels, ratio, order, angular_panels):
     weights = np.concatenate(outer[1] + core[1])
     dists = np.concatenate(outer[2] + core[2])
     return GradedPanels(
-        dim=2, singular_point=xs,
-        nodes=nodes, weights=weights, dist=dists,
+        dim=2, nodes=nodes, weights=weights, dist=dists,
         core_slice=slice(n_outer, len(weights)),
         core_scale_2d=u0, triangles=outer[3],
     )
 
 
 def graded_quadrature_rule(domain, singular_point, levels=None,
-                           ratio=DEFAULT_RATIO, gauss_order=DEFAULT_GAUSS_ORDER,
-                           angular_panels=DEFAULT_ANGULAR_PANELS) -> GradedPanels:
+                           ratio=DEFAULT_RATIO, gauss_order=DEFAULT_GAUSS_ORDER) -> GradedPanels:
     """Build a graded rule for ``domain`` with singularity at ``singular_point``.
 
     ``domain`` is a Grid1D/Grid2D or a raw bounds tuple: (a, b) in 1D,
@@ -211,21 +206,22 @@ def graded_quadrature_rule(domain, singular_point, levels=None,
     """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"grading ratio must lie in (0,1), got {ratio!r}")
+    if gauss_order < 1:
+        raise ValueError(f"gauss order must be >= 1, got {gauss_order!r}")
     bounds = getattr(domain, "bounds", domain)
+    if levels is None:
+        levels = DEFAULT_LEVELS_1D if len(bounds) == 2 else DEFAULT_LEVELS_2D
+    levels = int(levels)
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1, got {levels!r}")
     if len(bounds) == 2:
         a, b = bounds
         x = float(np.asarray(singular_point).reshape(()))
         if not a <= x <= b:
             raise ValueError(f"singular point {x!r} outside [{a}, {b}]")
-        lv = DEFAULT_LEVELS_1D if levels is None else int(levels)
-        if lv < 1:
-            raise ValueError("levels must be >= 1")
-        return _graded_rule_interval(a, b, x, lv, ratio, gauss_order)
+        return _graded_rule_interval(a, b, x, levels, ratio, gauss_order)
     a1, b1, a2, b2 = bounds
     p = np.asarray(singular_point, float).reshape(2)
     if not (a1 <= p[0] <= b1 and a2 <= p[1] <= b2):
         raise ValueError(f"singular point {p!r} outside rectangle {bounds!r}")
-    lv = DEFAULT_LEVELS_2D if levels is None else int(levels)
-    if lv < 1:
-        raise ValueError("levels must be >= 1")
-    return _graded_rule_rectangle((a1, b1, a2, b2), p, lv, ratio, gauss_order, angular_panels)
+    return _graded_rule_rectangle((a1, b1, a2, b2), p, levels, ratio, gauss_order)

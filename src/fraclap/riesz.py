@@ -20,17 +20,17 @@ __all__ = ["RuleParams", "PotentialRequest", "riesz_potential_point", "riesz_pot
 
 @dataclass(frozen=True)
 class RuleParams:
-    """Graded-quadrature parameters; ``levels=None`` picks the per-dim default."""
+    """Graded-quadrature parameters: number of geometric levels, grading
+    ratio and Gauss order per panel; ``levels=None`` picks the per-dim
+    default."""
 
     levels: int = None
     ratio: float = DEFAULT_RATIO
     gauss_order: int = DEFAULT_GAUSS_ORDER
-    angular_panels: int = 4
 
     def build(self, grid, x) -> GradedPanels:
         return graded_quadrature_rule(grid, x, levels=self.levels, ratio=self.ratio,
-                                      gauss_order=self.gauss_order,
-                                      angular_panels=self.angular_panels)
+                                      gauss_order=self.gauss_order)
 
 
 def _nodes_2d(rule):

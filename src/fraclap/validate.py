@@ -210,7 +210,7 @@ def _suite_greens(refinements):
     for k in range(refinements):
         n = 4 * 2 ** k + 1
         gk = make_rectangle_grid(0.0, 1.0, 0.0, 1.0, n, n)
-        res.append(green_residual(gk, phi, v, gauss_order=2, panels_per_edge=n - 1))
+        res.append(green_residual(gk, phi, v, gauss_order=2))
     worst_ratio = max(res[k + 1] / res[k] for k in range(len(res) - 1))
     recs.append(_rec("greens", "refinement decay factor (smooth pair)", worst_ratio, 0.25))
     return recs

@@ -6,6 +6,7 @@ measured value against its tolerance before asserting.
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import fraclap
 from fraclap.discrete import (apply_fraclap_discrete, assemble_laplacian_1d,
                               laplacian_1d_eigenvalues, matrix_fractional_power,
                               modal_diffusion_solve, sym_eigendecompose)
@@ -254,9 +256,14 @@ def test_09_modal_diffusion():
 
 
 def test_10_cli_black_box(tmp_path):
+    # the child process imports the same fraclap as this one
+    src = os.path.dirname(os.path.dirname(fraclap.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
     def run(*args):
         return subprocess.run([sys.executable, "-m", "fraclap.cli", *args],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
 
     ok = True
     ok &= run("potential", "--d", "1", "--domain", "0,1", "--sigma", "0.5",

@@ -1,16 +1,24 @@
 """Black-box tests of the batch command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import fraclap
+
+# the child process imports the same fraclap as this one
+_SRC = os.path.dirname(os.path.dirname(fraclap.__file__))
+
 
 def run_cli(*args):
+    path = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "fraclap.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 class TestPotentialCommand:
@@ -88,6 +96,13 @@ class TestExitCodes:
         r = run_cli("fraclap", "--d", "1", "--domain", "0,1", "--s", "0.5",
                     "--def", "augmented", "--func", "quad", "--points", "0.5")
         assert r.returncode == 2
+
+    @pytest.mark.parametrize("flag, name", [("--gauss", "gauss order"), ("--levels", "levels")])
+    def test_bad_rule_parameter_is_two(self, flag, name):
+        r = run_cli("fraclap", "--d", "1", "--domain", "0,1", "--s", "0.5",
+                    "--def", "new", "--func", "quad", "--points", "0.5", flag, "0")
+        assert r.returncode == 2
+        assert name in r.stderr
 
     def test_numerical_errors_are_three(self):
         # gamma pole at d=1, s=1

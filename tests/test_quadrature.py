@@ -52,6 +52,23 @@ class TestGaussPanel:
         assert np.sum(w) == pytest.approx(3.0, rel=1e-14)
         assert x.min() > 2.0 and x.max() < 5.0
 
+    @pytest.mark.parametrize("ends", [
+        np.linspace(-1.0, 2.5, 6),                # ascending chain of panels
+        0.7 * 0.5 ** np.arange(6),                # radial panels, outermost first
+    ])
+    def test_array_ends_match_scalar_calls(self, ends):
+        a, b = (ends[:-1], ends[1:]) if ends[0] < ends[1] else (ends[1:], ends[:-1])
+        x, w = gauss_panel(a, b, 5)
+        parts = [gauss_panel(float(lo), float(hi), 5) for lo, hi in zip(a, b)]
+        assert np.array_equal(x, np.concatenate([p[0] for p in parts]))
+        assert np.array_equal(w, np.concatenate([p[1] for p in parts]))
+
+    def test_composite_polynomial_exactness(self):
+        j = np.arange(4)
+        x, w = gauss_panel(j / 4, (j + 1) / 4, 8)
+        assert x.shape == w.shape == (32,)
+        assert np.sum(w * x ** 15) == pytest.approx(1.0 / 16.0, rel=1e-14)
+
 
 class TestGradedRule1D:
     def test_smooth_integrand(self):
@@ -108,6 +125,17 @@ class TestGradedRule1D:
         outer = rule.integrate_kernel(-0.5, skip_core=True)
         assert outer < full
 
+    @pytest.mark.parametrize("x0", [0.0, 0.5, 1.0, 0.3])
+    def test_core_slice_is_within_core_radius(self, x0):
+        # skip_core drops exactly the nodes within each side's core radius;
+        # at 0.3 the two sides' radii differ, so each bound holds on its own
+        rule = graded_quadrature_rule((0.0, 1.0), x0, levels=5, gauss_order=3)
+        in_core = np.zeros(len(rule.dist), bool)
+        in_core[rule.core_slice] = True
+        assert in_core.any() and not in_core.all()
+        assert np.all(rule.dist[in_core] <= max(rule.core_radii_1d))
+        assert np.all(rule.dist[~in_core] > min(rule.core_radii_1d))
+
 
 class TestGradedRule2D:
     def test_smooth_integrand(self):
@@ -133,6 +161,23 @@ class TestGradedRule2D:
         expect = _polar_square_oracle(rect, [1e-14, 1e-14], 1.0)
         assert rule.integrate_kernel(-1.0) == pytest.approx(expect, rel=1e-7)
 
+    @pytest.mark.parametrize("xs", [[0.4, 0.55], [1.0, 0.3], [0.0, 0.0]])
+    def test_core_slice_is_within_core_radius(self, xs):
+        # a node xs + u*chord lies at radial fraction u = dist / chord length,
+        # which is its gauge in the rectangle seen from xs; the core is u <= u0
+        rect = (0.0, 2.0, 0.0, 1.5)
+        rule = graded_quadrature_rule(rect, xs, levels=4, gauss_order=3)
+        d = rule.nodes - np.asarray(xs)
+        lo = np.array([rect[0], rect[2]]) - xs
+        hi = np.array([rect[1], rect[3]]) - xs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = np.where(d > 0, d / hi, np.where(d < 0, d / lo, 0.0)).max(axis=1)
+        in_core = np.zeros(len(rule.dist), bool)
+        in_core[rule.core_slice] = True
+        u0 = rule.core_scale_2d
+        assert in_core.any() and not in_core.all()
+        assert np.array_equal(in_core, u <= u0 * (1.0 + 1e-9))
+
 
 class TestValidation:
     def test_singular_point_outside(self):
@@ -148,3 +193,8 @@ class TestValidation:
     def test_bad_levels(self):
         with pytest.raises(ValueError):
             graded_quadrature_rule((0.0, 1.0), 0.5, levels=0)
+
+    def test_bad_gauss_order(self):
+        for domain, x in (((0.0, 1.0), 0.5), ((0.0, 1.0, 0.0, 1.0), [0.5, 0.5])):
+            with pytest.raises(ValueError, match="gauss order"):
+                graded_quadrature_rule(domain, x, gauss_order=0)

@@ -11,19 +11,42 @@ from fraclap.special import (ConstantMode, FractionalOrder, gamma_ln,
 from fraclap.errors import DegenerateExponent, GammaPole
 
 
+def _gamma_int(n):
+    """Gamma(n) = (n-1)! for integer n >= 1."""
+    return math.factorial(n - 1)
+
+
+def _gamma_half(n):
+    """Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!) for integer n >= 0."""
+    return math.factorial(2 * n) / (4 ** n * math.factorial(n)) * math.sqrt(math.pi)
+
+
+def _gamma_neg_half(n):
+    """Gamma(1/2 - n) = (-4)^n n! sqrt(pi) / (2n)! for integer n >= 0."""
+    return (-4) ** n * math.factorial(n) / math.factorial(2 * n) * math.sqrt(math.pi)
+
+
 class TestGamma:
+    # Oracles are the factorial closed forms above, not math.gamma/lgamma,
+    # which gamma_value and gamma_ln call.
     def test_positive_arguments_match_stdlib(self):
-        # gamma_value passes arguments away from the poles to math.gamma.
-        for x in [0.25, 0.5, 1.0, 1.5, 2.0, 3.75, 7.5, 12.0, 30.5, 0.001]:
-            assert gamma_value(x) == pytest.approx(math.gamma(x), rel=1e-12)
+        for n in [1, 2, 3, 8, 12, 20]:
+            assert gamma_value(float(n)) == pytest.approx(_gamma_int(n), rel=1e-14)
+        for n in [0, 1, 3, 7, 30]:
+            assert gamma_value(n + 0.5) == pytest.approx(_gamma_half(n), rel=1e-14)
 
     def test_log_gamma_matches_stdlib(self):
-        for x in [0.1, 0.5, 1.0, 2.5, 10.0, 50.0, 170.0]:
-            assert gamma_ln(x) == pytest.approx(math.lgamma(x), rel=1e-12, abs=1e-12)
+        for n in [1, 2, 10, 50, 170]:
+            assert gamma_ln(float(n)) == pytest.approx(
+                math.log(math.factorial(n - 1)), rel=1e-14, abs=1e-14)
+        for n in [0, 1, 2, 40]:
+            expect = (math.log(math.factorial(2 * n)) - n * math.log(4.0)
+                      - math.log(math.factorial(n)) + 0.5 * math.log(math.pi))
+            assert gamma_ln(n + 0.5) == pytest.approx(expect, rel=1e-14, abs=1e-14)
 
     def test_negative_non_integer_arguments(self):
-        for x in [-0.5, -1.5, -2.25, -6.75]:
-            assert gamma_value(x) == pytest.approx(math.gamma(x), rel=1e-11)
+        for n in [1, 2, 3, 7]:
+            assert gamma_value(0.5 - n) == pytest.approx(_gamma_neg_half(n), rel=1e-14)
 
     def test_recurrence_identity(self):
         rng = np.random.default_rng(7)
