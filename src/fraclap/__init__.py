@@ -7,7 +7,7 @@ through Green's second identity, and the discrete matrix-fractional-power
 formulation with a modal diffusion solver.
 """
 
-from .discrete import (EigenDecomposition, apply_fraclap_discrete,
+from .discrete import (DirichletStencil, EigenDecomposition, apply_fraclap_discrete,
                        assemble_laplacian_1d, assemble_laplacian_2d,
                        laplacian_1d_eigenvalues, matrix_fractional_power,
                        modal_diffusion_solve, sym_eigendecompose)
@@ -38,7 +38,7 @@ __all__ = [
     "Definition", "FracLapRequest", "evaluate", "fraclap_restated",
     "fraclap_hypersingular", "fraclap_new", "fraclap_augmented", "surface_integral",
     "green_residual", "volume_quadrature",
-    "EigenDecomposition", "assemble_laplacian_1d", "assemble_laplacian_2d",
+    "EigenDecomposition", "DirichletStencil", "assemble_laplacian_1d", "assemble_laplacian_2d",
     "laplacian_1d_eigenvalues", "sym_eigendecompose", "matrix_fractional_power",
     "apply_fraclap_discrete", "modal_diffusion_solve",
     "FracLapError", "GammaPole", "DegenerateExponent", "UnsupportedOperation",

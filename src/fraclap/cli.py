@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 failed validation checks, 2 argument errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -222,15 +223,26 @@ def _cmd_validate(args):
     return 0 if report["all_pass"] else 1
 
 
+_ASSEMBLE_FIELDS = {"1d": ("n", "length"), "2d": ("nx", "ny", "lx", "ly")}
+
+
 def _parse_assemble(spec):
+    """The matrix-free Dirichlet stencil of a ``1d:n,length`` / ``2d:nx,ny,lx,ly`` spec."""
     kind, _, rest = spec.partition(":")
-    if kind == "1d":
-        n, ln = rest.split(",")
-        return discrete.assemble_laplacian_1d(int(n), float(ln))
-    if kind == "2d":
-        nx, ny, lx, ly = rest.split(",")
-        return discrete.assemble_laplacian_2d(int(nx), int(ny), float(lx), float(ly))
-    raise ValueError(f"unknown assembly spec {spec!r}")
+    if kind not in _ASSEMBLE_FIELDS:
+        raise ValueError(f"unknown assembly spec {spec!r}; expected 1d:n,length "
+                         "or 2d:nx,ny,lx,ly")
+    names = _ASSEMBLE_FIELDS[kind]
+    vals = rest.split(",")
+    try:
+        if len(vals) != len(names):
+            raise ValueError(f"got {len(vals)} values")
+        d = len(names) // 2
+        return discrete.DirichletStencil(tuple(int(v) for v in vals[:d]),
+                                         tuple(float(v) for v in vals[d:]))
+    except ValueError as exc:
+        raise ValueError(f"assembly spec {spec!r} expects {kind}:{','.join(names)} "
+                         f"(integer node counts, positive lengths): {exc}") from None
 
 
 def _matrix_rows(m):
@@ -238,18 +250,19 @@ def _matrix_rows(m):
 
 
 def _cmd_matpow(args):
+    # a user matrix needs a dense eigh; an assembled stencil runs through the DST-I
     if args.matrix:
-        K = discrete.load_matrix_csv(args.matrix)
+        op = discrete.sym_eigendecompose(discrete.load_matrix_csv(args.matrix))
     elif args.assemble:
-        K = _parse_assemble(args.assemble)
+        op = _parse_assemble(args.assemble)
     else:
         raise ValueError("--matrix or --assemble is required")
-    eig = discrete.sym_eigendecompose(K)
     alpha = args.s / 2.0
     params = {"matrix": args.matrix, "assemble": args.assemble, "s": args.s,
               "apply": args.apply, "check": args.check,
               "boundary_conditions": "homogeneous dirichlet"}
     if args.check:
+        eig = op.dense()
         if args.check == "spectral":
             power = discrete.matrix_fractional_power(eig, alpha)
             lam = np.sort(np.linalg.eigvalsh(power))
@@ -268,21 +281,23 @@ def _cmd_matpow(args):
         return 0 if ok else 1
     if args.apply:
         vec = discrete.load_matrix_csv(args.apply).reshape(-1)
-        out = discrete.apply_fraclap_discrete(eig, args.s, vec)
+        out = discrete.apply_fraclap_discrete(op, args.s, vec)
         _write_output(args, "value", [_fmt(v) for v in out], params)
         return 0
-    power = discrete.matrix_fractional_power(eig, alpha)
+    power = discrete.matrix_fractional_power(op.dense(), alpha)
     rows = _matrix_rows(power)
     _write_output(args, ",".join(f"c{j}" for j in range(power.shape[1])), rows, params)
     return 0
 
 
-def _parse_ic(spec, n):
+def _parse_ic(spec, stencil):
     name, _, rest = spec.partition(":")
+    n = stencil.n
     if name == "sine":
+        # product mode sin(k pi i / (nx+1)) sin(k pi j / (ny+1)): an eigenvector
         k = int(rest or "1")
-        j = np.arange(1, n + 1)
-        return np.sin(k * np.pi * j / (n + 1))
+        return functools.reduce(np.kron, [np.sin(k * np.pi * np.arange(1, m + 1) / (m + 1))
+                                          for m in stencil.shape])
     if name == "point":
         j = int(rest)
         if not 0 <= j < n:
@@ -296,16 +311,14 @@ def _parse_ic(spec, n):
 
 
 def _cmd_diffuse(args):
-    K = _parse_assemble(args.assemble)
-    eig = discrete.sym_eigendecompose(K)
-    u0 = _parse_ic(args.ic, eig.n)
+    stencil = _parse_assemble(args.assemble)
+    u0 = _parse_ic(args.ic, stencil)
     times = [float(t) for t in args.times.split(",")]
-    sols = discrete.modal_diffusion_solve(eig, args.s, u0, times)
+    sols = discrete.modal_diffusion_solve(stencil, args.s, u0, times)
     rows = []
     for t, u in zip(times, sols):
-        norm = float(np.linalg.norm(u))
-        for node, v in enumerate(u):
-            rows.append(f"{_fmt(t)},{node},{_fmt(v)},{_fmt(norm)}")
+        t_text, norm_text = _fmt(t), _fmt(np.linalg.norm(u))
+        rows.extend(f"{t_text},{node},{_fmt(v)},{norm_text}" for node, v in enumerate(u))
     params = {"assemble": args.assemble, "s": args.s, "ic": args.ic,
               "times": times, "boundary_conditions": "homogeneous dirichlet"}
     _write_output(args, "t,node,value,norm", rows, params)

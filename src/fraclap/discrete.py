@@ -1,14 +1,28 @@
-"""Discrete formulation: SPD Laplacian matrices, symmetric eigendecomposition,
+"""Discrete formulation: SPD Laplacian matrices, their spectral decompositions,
 matrix fractional powers, and a modal anomalous-diffusion solver.
 
 The discrete fractional Laplacian of order s is K^(s/2) for an SPD
 discretization K of the (negative) Laplacian; with eigenpairs (lambda_i, v_i)
 the diffusion problem u' = -K^(s/2) u decouples into modes decaying at rate
 lambda_i^(s/2).
+
+Two decompositions share one interface (``n``, ``eigenvalues``,
+``to_modes``, ``from_modes``, ``dense``), so ``apply_fraclap_discrete`` and
+``modal_diffusion_solve`` take either:
+
+- ``EigenDecomposition`` holds the dense eigenvectors of any SPD matrix,
+  from ``sym_eigendecompose`` (``numpy.linalg.eigh``, O(n^3)).
+- ``DirichletStencil`` is the uniform-grid Dirichlet stencil of
+  ``assemble_laplacian_1d/2d`` without the matrix.  The orthonormal DST-I
+  diagonalises it, so moving to and from modes is one ``scipy.fft.dstn``
+  (O(n log n)) and the eigenvalues are closed-form.  ``dense()`` gives the
+  same basis as an ``EigenDecomposition`` for ``matrix_fractional_power``.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +32,7 @@ from .special import FractionalOrder
 
 __all__ = [
     "EigenDecomposition",
+    "DirichletStencil",
     "assemble_laplacian_1d",
     "assemble_laplacian_2d",
     "laplacian_1d_eigenvalues",
@@ -32,12 +47,16 @@ __all__ = [
 _SYM_TOL = 1e-12
 
 
-def assemble_laplacian_1d(n_interior: int, length: float) -> np.ndarray:
-    """Dirichlet Laplacian on a uniform 1D grid: tridiagonal (2, -1)/h^2."""
+def _check_axis(n_interior, length):
     if n_interior < 2:
         raise ValueError(f"need at least 2 interior nodes, got {n_interior}")
     if not length > 0:
         raise ValueError(f"domain length must be positive, got {length!r}")
+
+
+def assemble_laplacian_1d(n_interior: int, length: float) -> np.ndarray:
+    """Dirichlet Laplacian on a uniform 1D grid: tridiagonal (2, -1)/h^2."""
+    _check_axis(n_interior, length)
     h = length / (n_interior + 1)
     return (np.diag(np.full(n_interior, 2.0))
             + np.diag(np.full(n_interior - 1, -1.0), 1)
@@ -71,9 +90,72 @@ class EigenDecomposition:
     def n(self):
         return len(self.eigenvalues)
 
+    def to_modes(self, p):
+        return self.eigenvectors.T @ p
+
+    def from_modes(self, c):
+        return self.eigenvectors @ c
+
+    def dense(self) -> EigenDecomposition:
+        """Itself: the dense basis is already held."""
+        return self
+
     def reconstruct(self) -> np.ndarray:
         v, lam = self.eigenvectors, self.eigenvalues
         return (v * lam[None, :]) @ v.T
+
+
+def _sine_basis(n_interior):
+    """Orthonormal DST-I matrix: entry (j, k) is sqrt(2/(n+1)) sin(pi (j+1) (k+1) / (n+1))."""
+    j = np.arange(1, n_interior + 1)
+    return np.sqrt(2.0 / (n_interior + 1)) * np.sin(np.pi * np.outer(j, j) / (n_interior + 1))
+
+
+@dataclass(frozen=True)
+class DirichletStencil:
+    """The stencil of ``assemble_laplacian_1d/2d``, diagonalised by the DST-I.
+
+    ``shape`` holds the interior nodes per axis and ``lengths`` the side
+    lengths.  Vectors are nodal values in lexicographic (C) order, the order
+    of ``kron(ax, I) + kron(I, ay)``; modes are in the same order, mode
+    (p, q) having eigenvalue ``lambda_x[p] + lambda_y[q]``.  The orthonormal
+    DST-I is its own inverse, so ``from_modes`` is ``to_modes``.
+    """
+
+    shape: tuple
+    lengths: tuple
+
+    def __post_init__(self):
+        if not 0 < len(self.shape) == len(self.lengths):
+            raise ValueError(f"need one length per axis, got shape {self.shape!r} "
+                             f"and lengths {self.lengths!r}")
+        for n_interior, length in zip(self.shape, self.lengths):
+            _check_axis(n_interior, length)
+
+    @property
+    def n(self):
+        return math.prod(self.shape)
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Closed-form eigenvalues in mode order: the outer sum of the 1D ones."""
+        axes = [laplacian_1d_eigenvalues(n, ln) for n, ln in zip(self.shape, self.lengths)]
+        return functools.reduce(np.add.outer, axes).ravel()
+
+    def to_modes(self, p):
+        # imported on first use: scipy.fft costs about 0.2 s and 25 MB to
+        # import, which the routes that never build a stencil should not pay
+        from scipy.fft import dstn
+        return dstn(np.reshape(p, self.shape), type=1, norm="ortho").ravel()
+
+    from_modes = to_modes
+
+    def dense(self) -> EigenDecomposition:
+        """Ascending eigenvalues with the closed-form product-sine eigenvectors."""
+        lam = self.eigenvalues
+        order = np.argsort(lam, kind="stable")
+        basis = functools.reduce(np.kron, [_sine_basis(n) for n in self.shape])
+        return EigenDecomposition(eigenvalues=lam[order], eigenvectors=basis[:, order])
 
 
 def _check_symmetric(matrix):
@@ -105,7 +187,8 @@ def matrix_fractional_power(eig: EigenDecomposition, alpha: float) -> np.ndarray
     return 0.5 * (out + out.T)
 
 
-def apply_fraclap_discrete(eig: EigenDecomposition, s, p: np.ndarray) -> np.ndarray:
+def apply_fraclap_discrete(eig: EigenDecomposition | DirichletStencil, s,
+                           p: np.ndarray) -> np.ndarray:
     """K^(s/2) p through the decomposition, without forming the power matrix."""
     sv = s.s if isinstance(s, FractionalOrder) else float(s)
     if not 0.0 < sv <= 2.0:
@@ -113,11 +196,11 @@ def apply_fraclap_discrete(eig: EigenDecomposition, s, p: np.ndarray) -> np.ndar
     p = np.asarray(p, float)
     if p.shape != (eig.n,):
         raise ValueError(f"vector length {p.shape} does not match order {eig.n}")
-    v = eig.eigenvectors
-    return v @ (eig.eigenvalues ** (sv / 2.0) * (v.T @ p))
+    return eig.from_modes(eig.eigenvalues ** (sv / 2.0) * eig.to_modes(p))
 
 
-def modal_diffusion_solve(eig: EigenDecomposition, s, u0: np.ndarray, times) -> list:
+def modal_diffusion_solve(eig: EigenDecomposition | DirichletStencil, s,
+                          u0: np.ndarray, times) -> list:
     """Solutions of u' = -K^(s/2) u at the requested times.
 
     u(t) = sum_k exp(-lambda_k^(s/2) t) (v_k . u0) v_k.
@@ -133,10 +216,9 @@ def modal_diffusion_solve(eig: EigenDecomposition, s, u0: np.ndarray, times) -> 
         raise ValueError("times must be nonnegative")
     if np.any(np.diff(times) < 0.0):
         raise ValueError("times must be ascending")
-    v = eig.eigenvectors
-    coeffs = v.T @ u0
+    coeffs = eig.to_modes(u0)
     rates = eig.eigenvalues ** (sv / 2.0)
-    return [v @ (np.exp(-rates * t) * coeffs) for t in times]
+    return [eig.from_modes(np.exp(-rates * t) * coeffs) for t in times]
 
 
 # ---------------------------------------------------------------------------

@@ -269,6 +269,20 @@ def _suite_discrete(refinements):
         got = discrete.modal_diffusion_solve(eig, 2.0, u0, [t])[0]
         worst = max(worst, float(np.max(np.abs(got - exact))))
     recs.append(_rec("discrete", "s=2 vs matrix exponential", worst, 1e-8))
+
+    # the matrix-free DST-I route against dense eigh of the assembled stencil
+    stencil = discrete.DirichletStencil((12, 9), (1.0, 0.75))
+    ref = discrete.sym_eigendecompose(discrete.assemble_laplacian_2d(12, 9, 1.0, 0.75))
+    p = rng.standard_normal(stencil.n)
+    pairs = [(stencil.dense().eigenvalues, ref.eigenvalues)]
+    for s in (0.5, 1.0, 1.5):
+        pairs.append((discrete.apply_fraclap_discrete(stencil, s, p),
+                      discrete.apply_fraclap_discrete(ref, s, p)))
+        pairs.extend(zip(discrete.modal_diffusion_solve(stencil, s, p, [1e-3, 1e-2]),
+                         discrete.modal_diffusion_solve(ref, s, p, [1e-3, 1e-2])))
+    worst = max(float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+                for got, want in pairs)
+    recs.append(_rec("discrete", "stencil transform vs dense eigh", worst, 1e-12))
     return recs
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import fraclap
+from fraclap import discrete
 
 # the child process imports the same fraclap as this one
 _SRC = os.path.dirname(os.path.dirname(fraclap.__file__))
@@ -111,6 +112,17 @@ class TestExitCodes:
         assert r.returncode == 3
         assert "GammaPole" in r.stderr
 
+    @pytest.mark.parametrize("spec, message", [
+        ("2d:40,40", "expects 2d:nx,ny,lx,ly"),
+        ("1d:1,1", "need at least 2 interior nodes"),
+    ])
+    def test_bad_assemble_spec_is_two(self, spec, message):
+        for cmd in (["matpow", "--s", "1.0"],
+                    ["diffuse", "--s", "1.0", "--ic", "sine:1", "--times", "0.1"]):
+            r = run_cli(*cmd, "--assemble", spec)
+            assert r.returncode == 2
+            assert repr(spec) in r.stderr and message in r.stderr
+
     def test_asymmetric_matrix_is_three(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n0,1\n")
@@ -153,6 +165,24 @@ class TestMatpow:
         assert vals[0] == pytest.approx(1.0 / h2, rel=1e-12)
         assert vals[3] == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("spec, K", [
+        ("1d:30,1", discrete.assemble_laplacian_1d(30, 1.0)),
+        ("2d:7,5,1,2.5", discrete.assemble_laplacian_2d(7, 5, 1.0, 2.5)),
+    ])
+    def test_assemble_matches_matrix(self, tmp_path, spec, K):
+        # the matrix-free stencil and dense eigh of the same matrix give the same output
+        matrix, vec = tmp_path / "k.csv", tmp_path / "v.csv"
+        discrete.save_matrix_csv(matrix, K)
+        discrete.save_matrix_csv(vec, np.random.default_rng(6).standard_normal((len(K), 1)))
+        for extra in ([], ["--apply", str(vec)]):
+            outs = []
+            for source in (["--assemble", spec], ["--matrix", str(matrix)]):
+                r = run_cli("matpow", *source, "--s", "0.75", *extra)
+                assert r.returncode == 0
+                outs.append(np.loadtxt(r.stdout.splitlines()[1:], delimiter=","))
+            assert outs[0].shape == outs[1].shape
+            assert np.max(np.abs(outs[0] - outs[1])) <= 1e-12 * np.max(np.abs(outs[1]))
+
 
 class TestDiffuse:
     def test_long_format_and_norm_decay(self):
@@ -165,6 +195,22 @@ class TestDiffuse:
         assert len(rows) == 30
         norms = sorted({float(rw[0]): float(rw[3]) for rw in rows}.items())
         assert norms[0][1] >= norms[1][1] >= norms[2][1]
+
+    def test_2d_sine_is_product_mode(self):
+        # sine:k on a 2d: spec is an eigenvector, so it decays by exp(-lambda^(s/2) t)
+        s, k, times = 0.75, 2, [0.0, 1e-3, 1e-2]
+        r = run_cli("diffuse", "--assemble", "2d:7,5,1,2.5", "--s", str(s),
+                    "--ic", f"sine:{k}", "--times", ",".join(map(str, times)))
+        assert r.returncode == 0
+        rows = np.loadtxt(r.stdout.splitlines()[1:], delimiter=",")
+        u = rows[:, 2].reshape(len(times), 35)
+        u0 = np.kron(np.sin(k * np.pi * np.arange(1, 8) / 8),
+                     np.sin(k * np.pi * np.arange(1, 6) / 6))
+        lam = (discrete.laplacian_1d_eigenvalues(7, 1.0)[k - 1]
+               + discrete.laplacian_1d_eigenvalues(5, 2.5)[k - 1])
+        for t, ut in zip(times, u):
+            np.testing.assert_allclose(ut, np.exp(-lam ** (s / 2.0) * t) * u0,
+                                       rtol=0, atol=1e-12)
 
     def test_point_ic_out_of_range(self):
         r = run_cli("diffuse", "--assemble", "1d:5,1", "--s", "1.0",

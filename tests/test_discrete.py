@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from fraclap.discrete import (EigenDecomposition, apply_fraclap_discrete,
+from fraclap.discrete import (DirichletStencil, EigenDecomposition, apply_fraclap_discrete,
                               assemble_laplacian_1d, assemble_laplacian_2d,
                               laplacian_1d_eigenvalues,
                               load_matrix_csv, matrix_fractional_power,
@@ -177,6 +177,75 @@ class TestModalDiffusion:
         eig = sym_eigendecompose(assemble_laplacian_1d(5, 1.0))
         with pytest.raises(ValueError):
             modal_diffusion_solve(eig, 1.0, np.zeros(5), [0.1, 0.05])
+
+
+def _assembled(shape, lengths):
+    if len(shape) == 1:
+        return assemble_laplacian_1d(shape[0], lengths[0])
+    return assemble_laplacian_2d(*shape, *lengths)
+
+
+def _gap(got, want):
+    """Normwise relative gap max|got - want| / max|want|."""
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape, lengths", [((30,), (1.0,)), ((7, 5), (1.0, 2.5))])
+class TestDirichletStencil:
+    """The matrix-free DST-I route against dense eigh of the assembled stencil."""
+
+    def test_dense_matches_eigh(self, shape, lengths):
+        K = _assembled(shape, lengths)
+        ref = sym_eigendecompose(K)
+        dense = DirichletStencil(shape, lengths).dense()
+        assert np.all(np.diff(dense.eigenvalues) >= 0.0)
+        assert _gap(dense.eigenvalues, ref.eigenvalues) <= 1e-12
+        assert _gap(dense.reconstruct(), K) <= 1e-12
+        v = dense.eigenvectors
+        np.testing.assert_allclose(v.T @ v, np.eye(len(K)), rtol=0, atol=1e-12)
+
+    def test_transform_diagonalises_stencil(self, shape, lengths):
+        # modes come out in the order of `eigenvalues`, and the transform is its own inverse
+        stencil = DirichletStencil(shape, lengths)
+        p = np.random.default_rng(8).standard_normal(stencil.n)
+        K = _assembled(shape, lengths)
+        assert _gap(stencil.to_modes(K @ p), stencil.eigenvalues * stencil.to_modes(p)) <= 1e-12
+        assert _gap(stencil.from_modes(stencil.to_modes(p)), p) <= 1e-14
+
+    @pytest.mark.parametrize("s", [0.5, 0.75, 1.5, 2.0])
+    def test_apply_and_diffusion_match_eigh(self, shape, lengths, s):
+        stencil = DirichletStencil(shape, lengths)
+        ref = sym_eigendecompose(_assembled(shape, lengths))
+        p = np.random.default_rng(9).standard_normal(stencil.n)
+        assert _gap(apply_fraclap_discrete(stencil, s, p),
+                    apply_fraclap_discrete(ref, s, p)) <= 1e-12
+        times = [0.0, 1e-3, 2e-2]
+        for got, want in zip(modal_diffusion_solve(stencil, s, p, times),
+                             modal_diffusion_solve(ref, s, p, times)):
+            assert _gap(got, want) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.25, 0.375, 0.75])
+    def test_power_matches_eigh(self, shape, lengths, alpha):
+        ref = sym_eigendecompose(_assembled(shape, lengths))
+        got = matrix_fractional_power(DirichletStencil(shape, lengths).dense(), alpha)
+        assert _gap(got, matrix_fractional_power(ref, alpha)) <= 1e-12
+
+
+class TestDirichletStencilValidation:
+    @pytest.mark.parametrize("shape, lengths, match", [
+        ((1,), (1.0,), "at least 2 interior nodes"),
+        ((5, 1), (1.0, 1.0), "at least 2 interior nodes"),
+        ((5, 4), (1.0, -2.0), "length must be positive"),
+        ((5,), (1.0, 1.0), "one length per axis"),
+        ((), (), "one length per axis"),
+    ])
+    def test_rejects_bad_grid(self, shape, lengths, match):
+        with pytest.raises(ValueError, match=match):
+            DirichletStencil(shape, lengths)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError):
+            apply_fraclap_discrete(DirichletStencil((4, 3), (1.0, 1.0)), 1.0, np.zeros(7))
 
 
 class TestSerialization:
