@@ -398,7 +398,7 @@ class FieldAdapter:
     def gradient_at(self, x):
         x = np.asarray(x, float).reshape(self.dim)
         if self.analytic:
-            return np.atleast_1d(self.tf.gradient(x if self.dim > 1 else x[0]))
+            return self.tf.gradient(x)
         h = 1e-5 * max(1.0, self.grid.diameter)
         g = np.empty(self.dim)
         for i in range(self.dim):
@@ -408,23 +408,26 @@ class FieldAdapter:
         return g
 
     def hessian_at(self, x):
+        """Hessian at one point, (dim, dim).
+
+        In 1D it is the Laplacian, so sampled input gets the interpolated
+        discrete Laplacian; in 2D samples are differenced with a fixed step.
+        """
         x = np.asarray(x, float).reshape(self.dim)
+        if self.dim == 1:
+            return self.laplacian(x.reshape(1, 1)).reshape(1, 1)
         if self.analytic:
-            return np.atleast_2d(self.tf.hessian(x if self.dim > 1 else x[0]))
+            return self.tf.hessian(x)
         h = 2e-4 * max(1.0, self.grid.diameter)
-        H = np.empty((self.dim, self.dim))
-        f0 = self.value_at(x)
-        for i in range(self.dim):
-            ei = np.zeros(self.dim)
-            ei[i] = h
-            H[i, i] = (self.value_at(x + ei) - 2 * f0 + self.value_at(x - ei)) / h ** 2
-            for j in range(i + 1, self.dim):
-                ej = np.zeros(self.dim)
-                ej[j] = h
-                H[i, j] = H[j, i] = (self.value_at(x + ei + ej) - self.value_at(x + ei - ej)
-                                     - self.value_at(x - ei + ej) + self.value_at(x - ei - ej)
-                                     ) / (4 * h ** 2)
-        return H
+
+        def f(i, j):
+            return self.value_at(x + h * np.array([i, j], float))
+
+        f0 = f(0, 0)
+        dxx = (f(1, 0) - 2 * f0 + f(-1, 0)) / h ** 2
+        dyy = (f(0, 1) - 2 * f0 + f(0, -1)) / h ** 2
+        dxy = (f(1, 1) - f(1, -1) - f(-1, 1) + f(-1, -1)) / (4 * h ** 2)
+        return np.array([[dxx, dxy], [dxy, dyy]])
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,23 @@ Routes implemented, all for order s in (0, 2):
                       ``as-printed`` variant uses exponent d+s and prefactor
                       1/h on the surface as well, for comparison studies only.
 
-The Hadamard finite part is computed by two-term Taylor subtraction.  The
-subtracted monomials have closed-form finite parts (reduced to boundary
-fluxes via the divergence theorem); the remaining integrand is weakly
-singular.  Nodes in the innermost quadrature cells are excluded (there the
-subtracted difference drowns in round-off) and replaced by the analytic
-second-order contribution built from the Hessian at the evaluation point.
+The Hadamard finite part is computed by two-term Taylor subtraction, with
+one body for both dimensions.  The finite parts of the subtracted terms
+reduce, by the divergence theorem, to boundary fluxes over the boundary
+quadrature (in 1D: the two endpoints, normals -1 and +1, weight 1):
+
+    fp0 = -(1/s) * surface integral of r^-(d+s) (r . n)
+    fp1 = -1/(d-2+s) * surface integral of r^-(d-2+s) n
+
+The remaining integrand is weakly singular.  Nodes in the innermost cell
+u <= u0 of every Duffy fan of the rule are excluded (there the subtracted
+difference drowns in round-off) and replaced by the analytic second-order
+contribution of that cell,
+
+    0.5 u0^(2-s)/(2-s) * sum over fans of jac * sum_v w_v (c.H.c) |c|^-(d+s),
+
+with c the fan's chords and H the Hessian at the evaluation point (the
+Laplacian in 1D).
 """
 
 from __future__ import annotations
@@ -32,7 +43,8 @@ import numpy as np
 
 from .domain import BoundaryData, FieldAdapter, boundary_quadrature
 from .errors import MissingBoundaryData, UnsupportedOperation
-from .riesz import PotentialRequest, RuleParams, _nodes_2d, riesz_potential_point
+from .riesz import (PotentialRequest, RuleParams, _eval_points, _nodes_2d,
+                    riesz_potential_point)
 from .special import ConstantMode, FractionalOrder, h_constant, riesz_constant
 
 __all__ = ["Definition", "FracLapRequest", "fraclap_restated", "fraclap_hypersingular",
@@ -112,62 +124,57 @@ def fraclap_new(req: FracLapRequest, x) -> float:
 # restated standard definition: Laplacian of the potential
 
 def fraclap_restated(req: FracLapRequest, x) -> float:
+    """-Lap of the order-(2-s) potential by the central second difference.
+
+    The step is tau = min(dist/2, 1e-3 * diameter), so the difference cancels
+    7-8 digits and the value carries about 1e-8 relative round-off.
+    """
     dist = req.check_margin(x)
-    grid = req.grid
+    grid, d = req.grid, req.grid.dim
     tau = min(dist / 2.0, 1e-3 * grid.diameter)
     pot = PotentialRequest(grid=grid, phi=req.phi, sigma=2.0 - req.s,
                            mode=req.mode, rule=req.rule)
-    if grid.dim == 1:
-        x = float(np.asarray(x).reshape(()))
-        vals = [riesz_potential_point(pot, x + k * tau) for k in (-1, 0, 1)]
-        return -(vals[0] - 2.0 * vals[1] + vals[2]) / tau ** 2
-    x = np.asarray(x, float).reshape(2)
-    center = riesz_potential_point(pot, x)
-    acc = -4.0 * center
-    for e in (np.array([tau, 0.0]), np.array([-tau, 0.0]),
-              np.array([0.0, tau]), np.array([0.0, -tau])):
-        acc += riesz_potential_point(pot, x + e)
+    x = np.asarray(x, float).reshape(d)
+    acc = -2.0 * d * riesz_potential_point(pot, x)
+    for e in tau * np.eye(d):
+        for step in (e, -e):
+            acc += riesz_potential_point(pot, x + step)
     return -acc / tau ** 2
 
 
 # ---------------------------------------------------------------------------
 # Hadamard finite part of the r^-(d+s) convolution
 
-def _finite_part_volume(req: FracLapRequest, fld: FieldAdapter, x) -> float:
-    """f.p. integral of phi(xi) r^-(d+s) over the domain, x interior."""
+def _boundary_rays(bq, xi):
+    """Rays from xi to the boundary points, their lengths, and the normals, as (M, d)."""
+    d = len(xi)
+    rv = bq.points.reshape(-1, d) - xi
+    return rv, np.sqrt(np.sum(rv * rv, axis=1)), bq.normals.reshape(-1, d)
+
+
+def _finite_part_volume(req: FracLapRequest, x) -> float:
+    """-(1/h) times the f.p. integral of phi(xi) r^-(d+s) over the domain, x interior."""
     grid, s, d = req.grid, req.s, req.grid.dim
-    rule = req.rule.build(grid, x)
-    px = fld.value_at(x)
-    gx = fld.gradient_at(x)
+    fld, rule = req.fld(), req.rule.build(grid, x)
+    xi = np.asarray(x, float).reshape(d)
+    px, gx = fld.value_at(xi), fld.gradient_at(xi)
     # numeric part: two-term Taylor remainder against the weakly singular kernel
     nodes = _nodes_2d(rule)
-    xi = np.asarray(x, float).reshape(d)
     rem = fld.value(nodes) - px - (nodes - xi) @ gx
     num = rule.integrate_kernel(-(d + s), rem, skip_core=True)
-    if d == 1:
-        a, b = grid.a, grid.b
-        xf = float(xi[0])
-        fp0 = -((xf - a) ** -s + (b - xf) ** -s) / s
-        fp1 = ((b - xf) ** (1.0 - s) - (xf - a) ** (1.0 - s)) / (1.0 - s)
-        lin = px * fp0 + gx[0] * fp1
-        lap_x = fld.laplacian(np.asarray([[xf]]))[0]
-        patch = 0.5 * lap_x * sum(h ** (2.0 - s) for h in rule.core_radii_1d) / (2.0 - s)
-        return num + lin + patch
-    # 2D: subtracted-term finite parts via divergence-theorem boundary fluxes
+    # subtracted terms: finite parts reduced to boundary fluxes (divergence theorem)
     bq = req.bq()
-    rv = bq.points - xi
-    rr = np.hypot(rv[:, 0], rv[:, 1])
-    rdotn = np.einsum("ij,ij->i", rv, bq.normals)
-    fp0 = -(1.0 / s) * float(np.sum(bq.weights * rr ** (-(2.0 + s)) * rdotn))
-    fp1 = -(1.0 / s) * np.sum((bq.weights * rr ** (-s))[:, None] * bq.normals, axis=0)
-    H = fld.hessian_at(x)
-    u0 = rule.core_scale_2d
-    patch = 0.0
-    for tri in rule.triangles:
-        chc = np.einsum("ij,jk,ik->i", tri.chords, H, tri.chords)
-        patch += tri.area * float(np.sum(tri.v_weights * chc * tri.chord_len ** (-(2.0 + s))))
-    patch *= u0 ** (2.0 - s) / (2.0 - s)
-    return num + px * fp0 + gx @ fp1 + patch
+    rv, rr, normals = _boundary_rays(bq, xi)
+    w = bq.weights
+    fp0 = -(1.0 / s) * float(np.sum(w * rr ** (-(d + s)) * np.einsum("ij,ij->i", rv, normals)))
+    fp1 = -(1.0 / (d - 2.0 + s)) * np.sum((w * rr ** (-(d - 2.0 + s)))[:, None] * normals, axis=0)
+    # core patch: the Hessian term over u <= u0 of every fan, integrated in closed form
+    H = fld.hessian_at(xi)
+    patch = sum(fan.jac * float(np.sum(fan.v_weights * fan.chord_len ** (-(d + s))
+                                       * np.einsum("ij,jk,ik->i", fan.chords, H, fan.chords)))
+                for fan in rule.fans)
+    patch *= 0.5 * rule.core_scale ** (2.0 - s) / (2.0 - s)
+    return -(num + px * fp0 + gx @ fp1 + patch) / h_constant(d, s, req.mode)
 
 
 def fraclap_hypersingular(req: FracLapRequest, x) -> float:
@@ -176,8 +183,7 @@ def fraclap_hypersingular(req: FracLapRequest, x) -> float:
             "finite-part evaluation of the standard definition is 1D only; "
             "use the restated route in 2D")
     req.check_margin(x)
-    h = h_constant(req.grid.dim, req.s, req.mode)
-    return -_finite_part_volume(req, req.fld(), x) / h
+    return _finite_part_volume(req, x)
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +201,8 @@ def surface_integral(req: FracLapRequest, x, as_printed=False) -> float:
     bd = req.boundary.require_full()
     bq = bd.quadrature
     d, s = req.grid.dim, req.s
-    xi = np.asarray(x, float).reshape(d)
-    if d == 1:
-        rv = bq.points.reshape(-1, 1) - xi
-    else:
-        rv = bq.points - xi
-    rr = np.sqrt(np.sum(rv * rv, axis=1))
-    if d == 1:
-        rhat_n = (np.sign(rv[:, 0]) * bq.normals)
-    else:
-        rhat_n = np.einsum("ij,ij->i", rv / rr[:, None], bq.normals)
+    rv, rr, normals = _boundary_rays(bq, np.asarray(x, float).reshape(d))
+    rhat_n = np.einsum("ij,ij->i", rv / rr[:, None], normals)
     if as_printed:
         beta = d + s
         pref = 1.0 / h_constant(d, s, req.mode)
@@ -223,9 +221,7 @@ def fraclap_augmented(req: FracLapRequest, x, as_printed=None) -> float:
         raise MissingBoundaryData("augmented evaluation requires boundary data")
     req.boundary.require_full()
     req.check_margin(x)
-    h = h_constant(req.grid.dim, req.s, req.mode)
-    vol = -_finite_part_volume(req, req.fld(), x) / h
-    return vol + surface_integral(req, x, as_printed=as_printed)
+    return _finite_part_volume(req, x) + surface_integral(req, x, as_printed=as_printed)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +237,5 @@ _DISPATCH = {
 
 def evaluate(req: FracLapRequest):
     """Evaluate the requested definition at every evaluation point."""
-    if req.eval_points is None:
-        raise ValueError("request has no evaluation points")
-    pts = np.asarray(req.eval_points, float)
-    pts = pts.reshape(-1, 2) if req.grid.dim == 2 else pts.reshape(-1)
     fn = _DISPATCH[req.definition]
-    return [(p, fn(req, p)) for p in pts]
+    return [(p, fn(req, p)) for p in _eval_points(req)]

@@ -1,23 +1,28 @@
-"""Singularity-aware quadrature: geometrically graded panels with a
-double-exponential closure around the singular point.
+"""Singularity-aware quadrature: Duffy fans over geometrically graded radial
+panels, with a double-exponential closure at the singular point.
 
-The weakly singular kernels integrated here behave like r^(-alpha) near an
-interior point.  Panels shrink geometrically toward that point so each Gauss
-panel sees an analytic integrand; the innermost cell (which touches the
-singularity) is covered by tanh-sinh nodes whose distances to the singular
-point are tracked exactly, so kernels can be evaluated from the stored
-distance instead of a cancellation-prone position difference.
+The weakly singular kernels integrated here behave like r^(-alpha) near a
+point x of the domain.  The domain is split into fans (Duffy, SIAM J. Numer.
+Anal. 19, 1982), the cones from x over its boundary facets: the two
+endpoints of an interval, the four edges of a rectangle.  A fan's node is
+x + u * chord, u in (0, 1] the radial fraction and the chord running from x
+to a node of the angular rule on the facet.  Its weight is
+jac * u^(d-1) * w_u * w_v, with jac the |det| of the facet's vertices minus
+x, and its distance u * |chord| to x is stored exactly, so kernels can be
+evaluated from it instead of a cancellation-prone position difference.
 
-One radial rule in the distance from the singular point serves both
-dimensions: it covers each side of the point in 1D and the radial
-coordinate of every corner triangle's Duffy fan in 2D.  ``gauss_panel`` is
-the only composite Gauss builder; it maps one Legendre rule onto all the
-panels of a rule at once.
+One radial rule on (0, 1] serves every fan in both dimensions: Gauss panels
+shrinking geometrically toward x, so each sees an analytic integrand, and
+tanh-sinh nodes in the innermost cell u <= u0.  Only the facets and the
+angular rule depend on the dimension: one node of weight 1 at an endpoint,
+``_ANGULAR_PANELS`` Gauss panels along an edge.  ``gauss_panel`` is the only
+composite Gauss builder; it maps one Legendre rule onto all the panels of a
+rule at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +33,7 @@ DEFAULT_GAUSS_ORDER = 8
 DEFAULT_LEVELS_1D = 14
 DEFAULT_LEVELS_2D = 10
 
-_ANGULAR_PANELS = 4   # Gauss panels along each corner triangle's far edge
+_ANGULAR_PANELS = 4   # Gauss panels along each edge of a rectangle
 
 
 def gauss_panel(a, b, order):
@@ -62,27 +67,14 @@ def _tanh_sinh_unit(n, tmax):
 _TS_DELTA, _TS_WEIGHTS = _tanh_sinh_unit(n=30, tmax=6.0)
 
 
-def _radial_rule(length, levels, ratio, order):
-    """Graded rule in the distance r from a singular point, r in (0, length].
-
-    Returns the outer Gauss nodes and weights (panels [length*ratio^(k+1),
-    length*ratio^k], outermost first), the tanh-sinh core nodes and weights
-    on (0, h], and the core radius h = length * ratio^levels.
-    """
-    radii = length * np.array([ratio ** k for k in range(levels + 1)])
-    r, w = gauss_panel(radii[1:], radii[:-1], order)
-    h = float(radii[-1])
-    return r, w, h * _TS_DELTA, h * _TS_WEIGHTS, h
-
-
 @dataclass
-class _TriangleFan:
-    """Duffy data for one corner triangle of a 2D rule."""
+class Fan:
+    """The cone from the singular point over one boundary facet (Duffy fan)."""
 
-    area: float
-    chords: np.ndarray        # (nv, 2) chord vectors from the singular point
+    jac: float                # |det| of the facet's vertices minus the singular point
+    chords: np.ndarray        # (nv, d) angular barycentric nodes times those vertices
     chord_len: np.ndarray     # (nv,)
-    v_weights: np.ndarray     # (nv,)
+    v_weights: np.ndarray     # (nv,) angular weights
 
 
 @dataclass
@@ -91,8 +83,9 @@ class GradedPanels:
 
     ``nodes`` are positions (shape (N,) in 1D, (N, 2) in 2D), ``weights``
     the corresponding weights, and ``dist`` the exact distance of each node
-    to the singular point.  ``core_*`` fields describe the innermost region
-    so that finite-part evaluators can exclude and patch it analytically.
+    to the singular point.  ``core_slice``, ``core_scale`` and ``fans``
+    describe the innermost region u <= u0 of every fan, so that finite-part
+    evaluators can exclude and patch it analytically.
     """
 
     dim: int
@@ -100,9 +93,8 @@ class GradedPanels:
     weights: np.ndarray
     dist: np.ndarray
     core_slice: slice                  # nodes belonging to the innermost cells
-    core_radii_1d: tuple = ()          # per-side innermost radii (1D)
-    core_scale_2d: float = 0.0         # innermost radial fraction u0 (2D)
-    triangles: list = field(default_factory=list)
+    core_scale: float                  # innermost radial fraction u0
+    fans: list                         # one Fan per facet the point does not lie on
 
     def integrate(self, f) -> float:
         """Integrate a plain (non-singular) callable or value array."""
@@ -129,72 +121,48 @@ class GradedPanels:
         return float(np.sum(term))
 
 
-def _graded_rule_interval(a, b, xs, levels, ratio, order):
-    pos, wts, dist = [], [], []
-    core_pos, core_w, core_d, core_radii = [], [], [], []
-    for lo, hi, sing_at_hi in ((a, xs, True), (xs, b, False)):
-        length = hi - lo
-        if length <= 0.0:
-            continue
-        r, w, rc, wc, h = _radial_rule(length, levels, ratio, order)
-        pos.append(hi - r if sing_at_hi else lo + r)
-        wts.append(w)
-        dist.append(r)
-        core_pos.append(hi - rc if sing_at_hi else lo + rc)
-        core_w.append(wc)
-        core_d.append(rc)
-        core_radii.append(h)
-    n_outer = sum(len(p) for p in pos)
-    nodes = np.concatenate(pos + core_pos)
-    weights = np.concatenate(wts + core_w)
-    dists = np.concatenate(dist + core_d)
-    return GradedPanels(
-        dim=1, nodes=nodes, weights=weights, dist=dists,
-        core_slice=slice(n_outer, len(nodes)),
-        core_radii_1d=tuple(core_radii),
-    )
+def _facets_and_angular_rule(lo, hi, order):
+    """Boundary facets as (d, d) vertex arrays, and the angular rule over a facet.
 
-
-def _graded_rule_rectangle(rect, xs, levels, ratio, order):
-    a1, b1, a2, b2 = rect
-    xs = np.asarray(xs, float)
-    corners = [np.array([a1, a2]), np.array([b1, a2]),
-               np.array([b1, b2]), np.array([a1, b2])]
-    u_outer, wu_outer, u_core, wu_core, u0 = _radial_rule(1.0, levels, ratio, order)
+    The angular rule is barycentric nodes (nv, d) with weights (nv,): one node
+    of weight 1 on an interval's endpoint, Gauss panels along a rectangle's edge.
+    """
+    if len(lo) == 1:
+        return [lo[None], hi[None]], np.ones((1, 1)), np.ones(1)
+    corners = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
     j = np.arange(_ANGULAR_PANELS)
     v, wv = gauss_panel(j / _ANGULAR_PANELS, (j + 1) / _ANGULAR_PANELS, order)
+    return ([corners[[i, (i + 1) % 4]] for i in range(4)],
+            np.column_stack([1.0 - v, v]), wv)
 
-    def fan_blocks(u, wu):
-        pts, wts, dist, tris = [], [], [], []
-        for i in range(4):
-            A, B = corners[i], corners[(i + 1) % 4]
-            d1, d2 = A - xs, B - xs
-            area = 0.5 * abs(d1[0] * d2[1] - d1[1] * d2[0])
-            if area < 1e-30:
-                continue
-            chords = (1.0 - v)[:, None] * d1 + v[:, None] * d2
-            clen = np.hypot(chords[:, 0], chords[:, 1])
-            p = (xs[None, None, :] + u[:, None, None] * chords[None, :, :]).reshape(-1, 2)
-            w = (2.0 * area * (u * wu)[:, None] * wv[None, :]).ravel()
-            r = (u[:, None] * clen[None, :]).ravel()
-            keep = w > 0.0  # deepest tanh-sinh products may underflow to zero
-            pts.append(p[keep])
-            wts.append(w[keep])
-            dist.append(r[keep])
-            tris.append(_TriangleFan(area, chords, clen, wv))
-        return pts, wts, dist, tris
 
-    outer = fan_blocks(u_outer, wu_outer)
-    core = fan_blocks(u_core, wu_core)
-    n_outer = sum(len(p) for p in outer[0])
-    nodes = np.vstack(outer[0] + core[0])
-    weights = np.concatenate(outer[1] + core[1])
-    dists = np.concatenate(outer[2] + core[2])
-    return GradedPanels(
-        dim=2, nodes=nodes, weights=weights, dist=dists,
-        core_slice=slice(n_outer, len(weights)),
-        core_scale_2d=u0, triangles=outer[3],
-    )
+def _graded_rule(lo, hi, x, levels, ratio, order):
+    d = len(x)
+    facets, bary, wv = _facets_and_angular_rule(lo, hi, order)
+    fans = []
+    for verts in facets:
+        rel = verts - x
+        jac = abs(float(np.linalg.det(rel)))
+        if jac >= 1e-30:  # a facet through x spans no volume
+            chords = bary @ rel
+            fans.append(Fan(jac, chords, np.sqrt(np.sum(chords * chords, axis=1)), wv))
+    jac = np.array([f.jac for f in fans])[:, None, None]
+    chords = np.stack([f.chords for f in fans])            # (F, nv, d)
+    clen = np.stack([f.chord_len for f in fans])           # (F, nv)
+    # one radial rule in the fraction u of the chord: Gauss panels on
+    # [ratio^(k+1), ratio^k], then the tanh-sinh core on (0, u0]
+    radii = ratio ** np.arange(levels + 1.0)
+    u0 = float(radii[-1])
+    blocks = []
+    for u, wu in (gauss_panel(radii[1:], radii[:-1], order), (u0 * _TS_DELTA, u0 * _TS_WEIGHTS)):
+        p = x + u[None, :, None, None] * chords[:, None]
+        w = (jac * (u ** (d - 1) * wu)[:, None] * wv).ravel()
+        r = (u[:, None] * clen[:, None, :]).ravel()
+        keep = w > 0.0  # deepest tanh-sinh products may underflow to zero
+        blocks.append([np.compress(keep, a, axis=0) for a in (p.reshape(-1, d), w, r)])
+    pos, w, r = (np.concatenate(parts) for parts in zip(*blocks))
+    return GradedPanels(dim=d, nodes=pos if d > 1 else pos[:, 0], weights=w, dist=r,
+                        core_slice=slice(len(blocks[0][1]), len(w)), core_scale=u0, fans=fans)
 
 
 def graded_quadrature_rule(domain, singular_point, levels=None,
@@ -208,20 +176,15 @@ def graded_quadrature_rule(domain, singular_point, levels=None,
         raise ValueError(f"grading ratio must lie in (0,1), got {ratio!r}")
     if gauss_order < 1:
         raise ValueError(f"gauss order must be >= 1, got {gauss_order!r}")
-    bounds = getattr(domain, "bounds", domain)
+    bounds = np.asarray(getattr(domain, "bounds", domain), float)
+    lo, hi = bounds[0::2], bounds[1::2]
+    d = len(lo)
     if levels is None:
-        levels = DEFAULT_LEVELS_1D if len(bounds) == 2 else DEFAULT_LEVELS_2D
+        levels = DEFAULT_LEVELS_1D if d == 1 else DEFAULT_LEVELS_2D
     levels = int(levels)
     if levels < 1:
         raise ValueError(f"levels must be >= 1, got {levels!r}")
-    if len(bounds) == 2:
-        a, b = bounds
-        x = float(np.asarray(singular_point).reshape(()))
-        if not a <= x <= b:
-            raise ValueError(f"singular point {x!r} outside [{a}, {b}]")
-        return _graded_rule_interval(a, b, x, levels, ratio, gauss_order)
-    a1, b1, a2, b2 = bounds
-    p = np.asarray(singular_point, float).reshape(2)
-    if not (a1 <= p[0] <= b1 and a2 <= p[1] <= b2):
-        raise ValueError(f"singular point {p!r} outside rectangle {bounds!r}")
-    return _graded_rule_rectangle((a1, b1, a2, b2), p, levels, ratio, gauss_order)
+    x = np.asarray(singular_point, float).reshape(d)
+    if not np.all((lo <= x) & (x <= hi)):  # written so that NaN fails too
+        raise ValueError(f"singular point {x.tolist()} outside the domain {bounds.tolist()}")
+    return _graded_rule(lo, hi, x, levels, ratio, gauss_order)

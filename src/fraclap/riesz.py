@@ -60,6 +60,14 @@ class PotentialRequest:
         return FieldAdapter(self.grid, self.phi).value
 
 
+def _eval_points(req):
+    """A request's evaluation points: shape (P,) in 1D, (P, 2) in 2D."""
+    if req.eval_points is None:
+        raise ValueError("request has no evaluation points")
+    pts = np.asarray(req.eval_points, float)
+    return pts.reshape(-1, 2) if req.grid.dim == 2 else pts.reshape(-1)
+
+
 def riesz_potential_point(req: PotentialRequest, x) -> float:
     """Potential value at a single point of the closed domain."""
     grid = req.grid
@@ -72,11 +80,4 @@ def riesz_potential_point(req: PotentialRequest, x) -> float:
 
 def riesz_potential_field(req: PotentialRequest):
     """Potential at every requested evaluation point, order preserved."""
-    if req.eval_points is None:
-        raise ValueError("request has no evaluation points")
-    pts = np.asarray(req.eval_points, float)
-    if req.grid.dim == 2:
-        pts = pts.reshape(-1, 2)
-    else:
-        pts = pts.reshape(-1)
-    return [(p, riesz_potential_point(req, p)) for p in pts]
+    return [(p, riesz_potential_point(req, p)) for p in _eval_points(req)]

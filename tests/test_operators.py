@@ -111,6 +111,28 @@ class TestHypersingularForm:
         vr = fraclap_restated(_req(grid, phi, s), x)
         assert vh == pytest.approx(vr, rel=5e-3)
 
+    @pytest.mark.parametrize("s", [0.5, 0.75, 1.5])
+    @pytest.mark.parametrize("field", ["constant", "affine", "square"])
+    def test_closed_forms_on_interval(self, s, field):
+        # phi(xi) = phi(x) + phi'(x)(xi-x) + (xi-x)^2 for these fields, and on
+        # [a, b] the finite parts of r^-(1+s) times 1, (xi-x), (xi-x)^2 are
+        # fp0, fp1 and an ordinary integral; the route returns -(sum)/h with
+        # 1/h = c(1, 2-s) (s-1) s
+        a, b = 0.0, 1.3
+        grid = make_interval_grid(a, b, 27)
+        phi = {"constant": TestFunction.constant(0.7),
+               "affine": TestFunction.affine([-1.6], 0.4),
+               "square": TestFunction.quadratic(dim=1)}[field]
+        inv_h = _c(1, 2.0 - s) * (s - 1.0) * s
+        for x in (0.3, 0.65, 0.9):
+            fp0 = -((x - a) ** -s + (b - x) ** -s) / s
+            fp1 = ((b - x) ** (1.0 - s) - (x - a) ** (1.0 - s)) / (1.0 - s)
+            fp = phi.value(x) * fp0 + phi.gradient(x) * fp1
+            if field == "square":
+                fp += ((x - a) ** (2.0 - s) + (b - x) ** (2.0 - s)) / (2.0 - s)
+            got = fraclap_hypersingular(_req(grid, phi, s), x)
+            assert got == pytest.approx(-fp * inv_h, rel=1e-8)
+
     def test_two_dimensional_not_supported(self):
         grid = make_rectangle_grid(0, 1, 0, 1, 9, 9)
         req = _req(grid, TestFunction.quadratic(dim=2), 0.5)

@@ -1,7 +1,11 @@
 """Graded singularity-resolving quadrature rules."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fraclap.quadrature import gauss_panel, graded_quadrature_rule
@@ -125,17 +129,6 @@ class TestGradedRule1D:
         outer = rule.integrate_kernel(-0.5, skip_core=True)
         assert outer < full
 
-    @pytest.mark.parametrize("x0", [0.0, 0.5, 1.0, 0.3])
-    def test_core_slice_is_within_core_radius(self, x0):
-        # skip_core drops exactly the nodes within each side's core radius;
-        # at 0.3 the two sides' radii differ, so each bound holds on its own
-        rule = graded_quadrature_rule((0.0, 1.0), x0, levels=5, gauss_order=3)
-        in_core = np.zeros(len(rule.dist), bool)
-        in_core[rule.core_slice] = True
-        assert in_core.any() and not in_core.all()
-        assert np.all(rule.dist[in_core] <= max(rule.core_radii_1d))
-        assert np.all(rule.dist[~in_core] > min(rule.core_radii_1d))
-
 
 class TestGradedRule2D:
     def test_smooth_integrand(self):
@@ -161,22 +154,61 @@ class TestGradedRule2D:
         expect = _polar_square_oracle(rect, [1e-14, 1e-14], 1.0)
         assert rule.integrate_kernel(-1.0) == pytest.approx(expect, rel=1e-7)
 
-    @pytest.mark.parametrize("xs", [[0.4, 0.55], [1.0, 0.3], [0.0, 0.0]])
-    def test_core_slice_is_within_core_radius(self, xs):
-        # a node xs + u*chord lies at radial fraction u = dist / chord length,
-        # which is its gauge in the rectangle seen from xs; the core is u <= u0
-        rect = (0.0, 2.0, 0.0, 1.5)
-        rule = graded_quadrature_rule(rect, xs, levels=4, gauss_order=3)
-        d = rule.nodes - np.asarray(xs)
-        lo = np.array([rect[0], rect[2]]) - xs
-        hi = np.array([rect[1], rect[3]]) - xs
+
+_CORE_CASES = [((0.0, 1.0), [x0], 5) for x0 in (0.0, 0.5, 1.0, 0.3)] + [
+    ((0.0, 2.0, 0.0, 1.5), xs, 4) for xs in ([0.4, 0.55], [1.0, 0.3], [0.0, 0.0])]
+_CORE_IDS = [f"{len(b) // 2}d-" + ",".join(map(str, x)) for b, x, _ in _CORE_CASES]
+
+
+@st.composite
+def _boxes_and_points(draw, dim):
+    """A box, and a point of it that is often an endpoint, edge or corner."""
+    lo = np.array([draw(st.floats(-2.0, 2.0)) for _ in range(dim)])
+    hi = lo + np.array([draw(st.floats(0.1, 3.0)) for _ in range(dim)])
+    t = np.array([draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+                  for _ in range(dim)])
+    x = np.clip(lo + t * (hi - lo), lo, hi)
+    return np.column_stack([lo, hi]).ravel(), x
+
+
+_RULE_PARAMS = dict(ratio=st.floats(0.25, 0.6), levels=st.integers(4, 16))
+
+
+class TestGradedRuleFans:
+    """Properties shared by the 1D and 2D rules, both built from Duffy fans."""
+
+    @pytest.mark.parametrize("bounds, xs, levels", _CORE_CASES, ids=_CORE_IDS)
+    def test_core_slice_is_within_core_radius(self, bounds, xs, levels):
+        # a node xs + u*chord lies at radial fraction u = dist / |chord|,
+        # which is its gauge in the box seen from xs; the core is u <= u0
+        rule = graded_quadrature_rule(bounds, xs, levels=levels, gauss_order=3)
+        xs = np.asarray(xs)
+        d = rule.nodes.reshape(len(rule.weights), -1) - xs
+        lo, hi = np.array(bounds[0::2]) - xs, np.array(bounds[1::2]) - xs
         with np.errstate(divide="ignore", invalid="ignore"):
             u = np.where(d > 0, d / hi, np.where(d < 0, d / lo, 0.0)).max(axis=1)
         in_core = np.zeros(len(rule.dist), bool)
         in_core[rule.core_slice] = True
-        u0 = rule.core_scale_2d
         assert in_core.any() and not in_core.all()
-        assert np.array_equal(in_core, u <= u0 * (1.0 + 1e-9))
+        assert np.array_equal(in_core, u <= rule.core_scale * (1.0 + 1e-9))
+
+    @settings(deadline=None, max_examples=50)
+    @given(dim=st.sampled_from([1, 2]), data=st.data(), **_RULE_PARAMS)
+    def test_weights_and_fans_cover_the_box(self, dim, data, ratio, levels):
+        bounds, x = data.draw(_boxes_and_points(dim))
+        measure = np.prod(bounds[1::2] - bounds[0::2])
+        rule = graded_quadrature_rule(bounds, x, levels=levels, ratio=ratio)
+        assert np.sum(rule.weights) == pytest.approx(measure, rel=1e-13)
+        fan_measure = sum(fan.jac for fan in rule.fans) / math.factorial(dim)
+        assert fan_measure == pytest.approx(measure, rel=1e-13)
+
+    @settings(deadline=None, max_examples=50)
+    @given(box=_boxes_and_points(1), alpha=st.floats(0.05, 0.95), **_RULE_PARAMS)
+    def test_interval_kernel_closed_form(self, box, alpha, ratio, levels):
+        (a, b), (x,) = box
+        rule = graded_quadrature_rule((a, b), x, levels=levels, ratio=ratio)
+        expect = ((x - a) ** (1.0 - alpha) + (b - x) ** (1.0 - alpha)) / (1.0 - alpha)
+        assert rule.integrate_kernel(-alpha) == pytest.approx(expect, rel=1e-7)
 
 
 class TestValidation:
@@ -185,6 +217,12 @@ class TestValidation:
             graded_quadrature_rule((0.0, 1.0), 1.5)
         with pytest.raises(ValueError):
             graded_quadrature_rule((0.0, 1.0, 0.0, 1.0), [0.5, 2.0])
+
+    @pytest.mark.parametrize("domain, x", [((0.0, 1.0), np.nan),
+                                           ((0.0, 1.0, 0.0, 1.0), [np.nan, 0.5])])
+    def test_nan_point_rejected(self, domain, x):
+        with pytest.raises(ValueError, match="outside"):
+            graded_quadrature_rule(domain, x)
 
     def test_bad_ratio(self):
         with pytest.raises(ValueError):
