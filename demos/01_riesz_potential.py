@@ -2,7 +2,8 @@
 
 For the unit field on [0, 1] the potential has the exact value
 c(1, sigma) * (x^sigma + (1-x)^sigma) / sigma, which makes a good first
-sanity check of the graded quadrature.
+sanity check of the quadrature: its Gauss-Jacobi radial rule carries the
+kernel r^(sigma-1) in its weight, so a constant field is integrated exactly.
 """
 
 import math

@@ -14,8 +14,7 @@ from .discrete import (DirichletStencil, EigenDecomposition, apply_fraclap_discr
 from .domain import (BoundaryData, Grid1D, Grid2D, TestFunction,
                      boundary_quadrature, make_interval_grid, make_rectangle_grid)
 from .errors import (DegenerateExponent, FracLapError, GammaPole,
-                     MissingBoundaryData, NotPositiveDefinite, NotSymmetric,
-                     UnsupportedOperation)
+                     MissingBoundaryData, NotPositiveDefinite, NotSymmetric)
 from .greens import green_residual, volume_quadrature
 from .operators import (Definition, FracLapRequest, evaluate,
                         fraclap_augmented, fraclap_hypersingular, fraclap_new,
@@ -41,7 +40,7 @@ __all__ = [
     "EigenDecomposition", "DirichletStencil", "assemble_laplacian_1d", "assemble_laplacian_2d",
     "laplacian_1d_eigenvalues", "sym_eigendecompose", "matrix_fractional_power",
     "apply_fraclap_discrete", "modal_diffusion_solve",
-    "FracLapError", "GammaPole", "DegenerateExponent", "UnsupportedOperation",
+    "FracLapError", "GammaPole", "DegenerateExponent",
     "MissingBoundaryData", "NotSymmetric", "NotPositiveDefinite",
     "__version__",
 ]

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import __version__, discrete
 from .domain import BoundaryData, TestFunction, boundary_quadrature, make_interval_grid, make_rectangle_grid
-from .errors import FracLapError, GammaPole, MissingBoundaryData, NotPositiveDefinite, NotSymmetric, UnsupportedOperation
+from .errors import FracLapError, GammaPole, MissingBoundaryData, NotPositiveDefinite, NotSymmetric
 from .operators import Definition, FracLapRequest, evaluate
-from .quadrature import DEFAULT_GAUSS_ORDER, DEFAULT_RATIO
+from .quadrature import DEFAULT_GAUSS_ORDER, DEFAULT_RADIAL_ORDER
 from .riesz import PotentialRequest, RuleParams, riesz_potential_field
 from .special import ConstantMode
 from .validate import run_suite
@@ -112,7 +112,7 @@ def _eval_points(args, grid):
 
 
 def _rule(args):
-    return RuleParams(levels=args.levels, ratio=args.ratio, gauss_order=args.gauss)
+    return RuleParams(radial_order=args.radial, gauss_order=args.gauss)
 
 
 def _common_params(args, grid):
@@ -120,8 +120,7 @@ def _common_params(args, grid):
         "d": grid.dim,
         "domain": list(grid.bounds),
         "constant_mode": args.constant,
-        "levels": args.levels,
-        "ratio": args.ratio,
+        "radial_order": args.radial,
         "gauss_order": args.gauss,
     }
 
@@ -329,8 +328,9 @@ def _cmd_diffuse(args):
 
 def _add_rule_flags(p):
     p.add_argument("--constant", choices=["paper", "standard"], default="paper")
-    p.add_argument("--levels", type=int, default=None)
-    p.add_argument("--ratio", type=float, default=DEFAULT_RATIO)
+    p.add_argument("--radial", type=int, default=DEFAULT_RADIAL_ORDER,
+                   help="Gauss-Jacobi nodes along each chord from the evaluation point "
+                        "(default %(default)s)")
     p.add_argument("--gauss", type=int, default=DEFAULT_GAUSS_ORDER)
     p.add_argument("--out", default=None)
 
@@ -392,7 +392,7 @@ def build_parser():
     return ap
 
 
-_NUMERICAL_ERRORS = (GammaPole, NotSymmetric, NotPositiveDefinite, UnsupportedOperation)
+_NUMERICAL_ERRORS = (GammaPole, NotSymmetric, NotPositiveDefinite)
 
 
 def main(argv=None):

@@ -359,10 +359,19 @@ class FieldAdapter:
         grid = self.grid
         if self.dim == 1:
             return lambda pts: np.interp(pts[:, 0], grid.nodes, values)
-        from scipy.interpolate import RegularGridInterpolator
-        interp = RegularGridInterpolator((grid.x_nodes, grid.y_nodes), values,
-                                         method="linear", bounds_error=False, fill_value=None)
-        return lambda pts: interp(pts)
+        axes = (grid.x_nodes, grid.y_nodes)
+
+        def bilinear(pts):
+            # cell index clipped to the grid, fraction not: points outside
+            # extrapolate linearly from the boundary cell
+            cells = []
+            for k, ax in enumerate(axes):
+                i = np.clip(np.searchsorted(ax, pts[:, k]) - 1, 0, len(ax) - 2)
+                cells.append((i, (pts[:, k] - ax[i]) / (ax[i + 1] - ax[i])))
+            (i, tx), (j, ty) = cells
+            return ((1.0 - tx) * ((1.0 - ty) * values[i, j] + ty * values[i, j + 1])
+                    + tx * ((1.0 - ty) * values[i + 1, j] + ty * values[i + 1, j + 1]))
+        return bilinear
 
     def _discrete_laplacian(self):
         """Second-order FD Laplacian of the samples, edges copied from neighbors."""

@@ -20,10 +20,6 @@ class DegenerateExponent(GammaPole):
     """The kernel exponent d-2+s vanished, degenerating the normalization."""
 
 
-class UnsupportedOperation(FracLapError):
-    """A requested evaluation mode is outside the implemented contract."""
-
-
 class MissingBoundaryData(FracLapError, ValueError):
     """Boundary-augmented evaluation requested without full trace coverage."""
 

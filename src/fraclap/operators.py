@@ -5,7 +5,7 @@ Routes implemented, all for order s in (0, 2):
 * ``restated``       -Lap_x applied to the order-(2-s) Riesz potential of phi,
                       the outer Laplacian taken by central differences.
 * ``hypersingular``  -(1/h) times the Hadamard finite part of the
-                      r^-(d+s) convolution (1D only as a standalone route).
+                      r^-(d+s) convolution.
 * ``new``            minus the order-(2-s) Riesz potential of Lap(phi); the
                       weak-singularity route.
 * ``augmented``      the new definition rewritten through Green's second
@@ -23,15 +23,9 @@ quadrature (in 1D: the two endpoints, normals -1 and +1, weight 1):
     fp0 = -(1/s) * surface integral of r^-(d+s) (r . n)
     fp1 = -1/(d-2+s) * surface integral of r^-(d-2+s) n
 
-The remaining integrand is weakly singular.  Nodes in the innermost cell
-u <= u0 of every Duffy fan of the rule are excluded (there the subtracted
-difference drowns in round-off) and replaced by the analytic second-order
-contribution of that cell,
-
-    0.5 u0^(2-s)/(2-s) * sum over fans of jac * sum_v w_v (c.H.c) |c|^-(d+s),
-
-with c the fan's chords and H the Hessian at the evaluation point (the
-Laplacian in 1D).
+The remainder R = phi(xi) - phi(x) - (xi - x).grad phi(x) is O(r^2), so
+R r^-(d+s) is integrated as (R / r^2) r^-(d-2+s): a smooth factor against the
+same kernel as the ``new`` route, on the same Gauss-Jacobi rule (beta = 1-s).
 """
 
 from __future__ import annotations
@@ -42,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .domain import BoundaryData, FieldAdapter, boundary_quadrature
-from .errors import MissingBoundaryData, UnsupportedOperation
+from .errors import MissingBoundaryData
 from .riesz import (PotentialRequest, RuleParams, _eval_points, _nodes_2d,
                     riesz_potential_point)
 from .special import ConstantMode, FractionalOrder, h_constant, riesz_constant
@@ -115,9 +109,8 @@ def fraclap_new(req: FracLapRequest, x) -> float:
     req.check_margin(x)
     d, s = req.grid.dim, req.s
     c = riesz_constant(d, 2.0 - s, req.mode)
-    rule = req.rule.build(req.grid, x)
-    lap = req.fld().laplacian(_nodes_2d(rule))
-    return -c * rule.integrate_kernel(-(d - 2.0 + s), lap)
+    rule = req.rule.build(req.grid, x, -(d - 2.0 + s))
+    return -c * rule.integrate_kernel(req.fld().laplacian(_nodes_2d(rule)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,33 +148,23 @@ def _boundary_rays(bq, xi):
 def _finite_part_volume(req: FracLapRequest, x) -> float:
     """-(1/h) times the f.p. integral of phi(xi) r^-(d+s) over the domain, x interior."""
     grid, s, d = req.grid, req.s, req.grid.dim
-    fld, rule = req.fld(), req.rule.build(grid, x)
+    fld, rule = req.fld(), req.rule.build(grid, x, -(d - 2.0 + s))
     xi = np.asarray(x, float).reshape(d)
     px, gx = fld.value_at(xi), fld.gradient_at(xi)
-    # numeric part: two-term Taylor remainder against the weakly singular kernel
+    # numeric part: two-term Taylor remainder over r^2, against r^-(d-2+s)
     nodes = _nodes_2d(rule)
     rem = fld.value(nodes) - px - (nodes - xi) @ gx
-    num = rule.integrate_kernel(-(d + s), rem, skip_core=True)
+    num = rule.integrate_kernel(rem / rule.dist ** 2)
     # subtracted terms: finite parts reduced to boundary fluxes (divergence theorem)
     bq = req.bq()
     rv, rr, normals = _boundary_rays(bq, xi)
     w = bq.weights
     fp0 = -(1.0 / s) * float(np.sum(w * rr ** (-(d + s)) * np.einsum("ij,ij->i", rv, normals)))
     fp1 = -(1.0 / (d - 2.0 + s)) * np.sum((w * rr ** (-(d - 2.0 + s)))[:, None] * normals, axis=0)
-    # core patch: the Hessian term over u <= u0 of every fan, integrated in closed form
-    H = fld.hessian_at(xi)
-    patch = sum(fan.jac * float(np.sum(fan.v_weights * fan.chord_len ** (-(d + s))
-                                       * np.einsum("ij,jk,ik->i", fan.chords, H, fan.chords)))
-                for fan in rule.fans)
-    patch *= 0.5 * rule.core_scale ** (2.0 - s) / (2.0 - s)
-    return -(num + px * fp0 + gx @ fp1 + patch) / h_constant(d, s, req.mode)
+    return -(num + px * fp0 + gx @ fp1) / h_constant(d, s, req.mode)
 
 
 def fraclap_hypersingular(req: FracLapRequest, x) -> float:
-    if req.grid.dim != 1:
-        raise UnsupportedOperation(
-            "finite-part evaluation of the standard definition is 1D only; "
-            "use the restated route in 2D")
     req.check_margin(x)
     return _finite_part_volume(req, x)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import FieldAdapter
-from .quadrature import (DEFAULT_GAUSS_ORDER, DEFAULT_RATIO, GradedPanels,
+from .quadrature import (DEFAULT_GAUSS_ORDER, DEFAULT_RADIAL_ORDER, GradedPanels,
                          graded_quadrature_rule)
 from .special import ConstantMode, riesz_constant
 
@@ -20,16 +20,15 @@ __all__ = ["RuleParams", "PotentialRequest", "riesz_potential_point", "riesz_pot
 
 @dataclass(frozen=True)
 class RuleParams:
-    """Graded-quadrature parameters: number of geometric levels, grading
-    ratio and Gauss order per panel; ``levels=None`` picks the per-dim
-    default."""
+    """Quadrature orders: Gauss-Jacobi nodes along each chord of a Duffy fan,
+    and Gauss nodes per angular panel of a rectangle's edge."""
 
-    levels: int = None
-    ratio: float = DEFAULT_RATIO
+    radial_order: int = DEFAULT_RADIAL_ORDER
     gauss_order: int = DEFAULT_GAUSS_ORDER
 
-    def build(self, grid, x) -> GradedPanels:
-        return graded_quadrature_rule(grid, x, levels=self.levels, ratio=self.ratio,
+    def build(self, grid, x, power) -> GradedPanels:
+        """Rule integrating f * r^power about x."""
+        return graded_quadrature_rule(grid, x, power, radial_order=self.radial_order,
                                       gauss_order=self.gauss_order)
 
 
@@ -73,9 +72,8 @@ def riesz_potential_point(req: PotentialRequest, x) -> float:
     grid = req.grid
     d = grid.dim
     c = riesz_constant(d, req.sigma, req.mode)
-    rule = req.rule.build(grid, x)
-    f = req.field_values()
-    return c * rule.integrate_kernel(req.sigma - d, f(_nodes_2d(rule)))
+    rule = req.rule.build(grid, x, req.sigma - d)
+    return c * rule.integrate_kernel(req.field_values()(_nodes_2d(rule)))
 
 
 def riesz_potential_field(req: PotentialRequest):

@@ -18,7 +18,7 @@ from .greens import green_residual
 from .operators import (Definition, FracLapRequest, fraclap_augmented,
                         fraclap_hypersingular, fraclap_new, fraclap_restated,
                         surface_integral)
-from .riesz import PotentialRequest, RuleParams, riesz_potential_point
+from .riesz import PotentialRequest, riesz_potential_point
 from .special import ConstantMode, gamma_ln, h_constant, radial_laplacian, riesz_constant
 
 __all__ = ["run_suite", "SUITES"]

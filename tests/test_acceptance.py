@@ -120,8 +120,8 @@ def test_04_green_identity_equivalence():
                     return abs(va - vn) / max(abs(vn), 1e-300)
 
                 worst_default = max(worst_default, gap(RuleParams()))
-                # refinement doubles both the grading depth and panel order
-                errs = [gap(RuleParams(levels=k, gauss_order=k))
+                # refinement doubles both the radial and the angular order
+                errs = [gap(RuleParams(radial_order=k, gauss_order=k))
                         for k in (2, 4, 8)]
                 for e0, e1 in zip(errs, errs[1:]):
                     if e1 > 1e-12:

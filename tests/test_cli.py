@@ -98,7 +98,7 @@ class TestExitCodes:
                     "--def", "augmented", "--func", "quad", "--points", "0.5")
         assert r.returncode == 2
 
-    @pytest.mark.parametrize("flag, name", [("--gauss", "gauss order"), ("--levels", "levels")])
+    @pytest.mark.parametrize("flag, name", [("--gauss", "gauss order"), ("--radial", "radial order")])
     def test_bad_rule_parameter_is_two(self, flag, name):
         r = run_cli("fraclap", "--d", "1", "--domain", "0,1", "--s", "0.5",
                     "--def", "new", "--func", "quad", "--points", "0.5", flag, "0")

@@ -1,9 +1,16 @@
 """Grids, boundary quadrature, analytic test fields, and boundary traces."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
-from fraclap.domain import (BoundaryData, TestFunction, boundary_quadrature,
+import fraclap
+from fraclap.domain import (BoundaryData, FieldAdapter, TestFunction, boundary_quadrature,
                             make_interval_grid, make_rectangle_grid)
 from fraclap.errors import MissingBoundaryData
 
@@ -167,6 +174,42 @@ class TestTestFunction:
         pts = np.random.default_rng(0).uniform(size=(6, 2))
         assert f2.value(pts).shape == (6,)
         assert f2.gradient(pts).shape == (6, 2)
+
+
+class TestSampledField:
+    def test_bilinear_matches_regular_grid_interpolator(self):
+        grid = make_rectangle_grid(-0.3, 1.2, 0.1, 0.9, 41, 33)
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((41, 33))
+        gx, gy = np.meshgrid(grid.x_nodes, grid.y_nodes, indexing="ij")
+        pts = np.vstack([
+            np.column_stack([rng.uniform(-0.3, 1.2, 2000), rng.uniform(0.1, 0.9, 2000)]),
+            np.column_stack([gx.ravel(), gy.ravel()]),             # nodes, edges, corners
+            np.column_stack([rng.uniform(-0.31, 1.21, 500),        # just outside: linear
+                             rng.uniform(0.09, 0.91, 500)]),       # extrapolation
+        ])
+        ref = RegularGridInterpolator((grid.x_nodes, grid.y_nodes), values, method="linear",
+                                      bounds_error=False, fill_value=None)
+        np.testing.assert_allclose(FieldAdapter(grid, values).value(pts), ref(pts),
+                                   rtol=0, atol=4e-15)
+
+    def test_sampled_2d_evaluate_does_not_import_scipy_interpolate(self):
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from fraclap import FracLapRequest, evaluate, make_rectangle_grid
+            grid = make_rectangle_grid(0.0, 1.0, 0.0, 1.0, 9, 9)
+            gx, gy = np.meshgrid(grid.x_nodes, grid.y_nodes, indexing="ij")
+            req = FracLapRequest(grid=grid, phi=gx * gy, s=0.75, eval_points=[[0.5, 0.5]])
+            evaluate(req)
+            print("scipy.interpolate" in sys.modules)
+        """)
+        src = os.path.dirname(os.path.dirname(fraclap.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": path})
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
 
 
 class TestBoundaryData:

@@ -4,13 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import hyp2f1
 
 from fraclap.domain import (BoundaryData, TestFunction, boundary_quadrature,
                             make_interval_grid, make_rectangle_grid)
-from fraclap.errors import (GammaPole, MissingBoundaryData, UnsupportedOperation)
+from fraclap.errors import (GammaPole, MissingBoundaryData)
 from fraclap.operators import (Definition, FracLapRequest, evaluate,
                                fraclap_augmented, fraclap_hypersingular,
                                fraclap_new, fraclap_restated, surface_integral)
+from fraclap.riesz import PotentialRequest, riesz_potential_point
 from fraclap.special import ConstantMode
 
 
@@ -76,6 +79,34 @@ class TestPotentialOfLaplacianForm:
         assert v3 == pytest.approx(3.0 * v1, rel=1e-12)
 
 
+class TestNarrowFeatureAwayFromPoint:
+    """A bump of width 0.05 at 0.6 seen from x = 0.3: the default rule must
+    resolve a feature far from the singular point, not only the point."""
+
+    grid = make_interval_grid(0.0, 1.0, 81)
+    phi = TestFunction.gaussian_bump([0.6], 0.05)
+    x = 0.3
+
+    def _oracle(self, f, expo):
+        # integral of f(xi) |x - xi|^expo, adaptive on each side of x
+        def g(t):
+            return f(np.array([[t]]))[0]
+        return (quad(g, 0.0, self.x, weight="alg", wvar=(0.0, expo), epsabs=1e-14, limit=200)[0]
+                + quad(g, self.x, 1.0, weight="alg", wvar=(expo, 0.0), epsabs=1e-14, limit=200)[0])
+
+    def test_new_route(self):
+        s = 0.75
+        expect = -_c(1, 2.0 - s) * self._oracle(self.phi._laplacian, 1.0 - s)
+        got = fraclap_new(_req(self.grid, self.phi, s), self.x)
+        assert got == pytest.approx(expect, rel=1e-9)
+
+    def test_potential(self):
+        sigma = 0.5
+        expect = _c(1, sigma) * self._oracle(self.phi._value, sigma - 1.0)
+        got = riesz_potential_point(PotentialRequest(grid=self.grid, phi=self.phi, sigma=sigma), self.x)
+        assert got == pytest.approx(expect, rel=1e-10)
+
+
 class TestRestatedForm:
     """Outer finite-difference Laplacian applied to the potential field."""
 
@@ -133,11 +164,39 @@ class TestHypersingularForm:
             got = fraclap_hypersingular(_req(grid, phi, s), x)
             assert got == pytest.approx(-fp * inv_h, rel=1e-8)
 
-    def test_two_dimensional_not_supported(self):
-        grid = make_rectangle_grid(0, 1, 0, 1, 9, 9)
-        req = _req(grid, TestFunction.quadratic(dim=2), 0.5)
-        with pytest.raises(UnsupportedOperation):
-            fraclap_hypersingular(req, [0.5, 0.5])
+    @pytest.mark.parametrize("s", [0.5, 0.75, 1.5])
+    @pytest.mark.parametrize("field", ["bump", "quadratic"])
+    def test_two_dimensional_against_restated(self, s, field):
+        # acceptance criterion 5's tolerance, in 2D
+        grid = make_rectangle_grid(0.0, 1.0, 0.0, 1.0, 13, 13)
+        phi = {"bump": TestFunction.gaussian_bump([0.45, 0.5], 0.2),
+               "quadratic": TestFunction.quadratic(dim=2)}[field]
+        for x in ([0.4, 0.55], [0.3, 0.7]):
+            vh = fraclap_hypersingular(_req(grid, phi, s), x)
+            vr = fraclap_restated(_req(grid, phi, s), x)
+            assert vh == pytest.approx(vr, rel=5e-3)
+
+    @pytest.mark.parametrize("s", [0.5, 0.75, 1.5])
+    def test_two_dimensional_constant_closed_form(self, s):
+        # in polar coordinates about x the finite part of r^-(2+s) over the
+        # rectangle is -(1/s) * integral of rho(theta)^-s dtheta; along an
+        # edge at distance e from x that is e^-s * integral of
+        # (1 + tau^2)^-(1+s/2) dtau, and integral_0^T (1 + tau^2)^-a dtau
+        # = T 2F1(a, 1/2; 3/2; -T^2)
+        a1, b1, a2, b2 = 0.0, 1.3, 0.0, 0.9
+        grid = make_rectangle_grid(a1, b1, a2, b2, 27, 19)
+        phi = TestFunction.constant(0.7, dim=2)
+        inv_h = _c(2, 2.0 - s) * s * s
+
+        def side(t, e):
+            return t / e * hyp2f1(1.0 + s / 2.0, 0.5, 1.5, -(t / e) ** 2)
+
+        for x, y in ((0.3, 0.45), (0.65, 0.2), (1.0, 0.7)):
+            rho_s = sum(e ** -s * (side(t1, e) + side(t2, e))
+                        for e, t1, t2 in ((y - a2, x - a1, b1 - x), (b2 - y, x - a1, b1 - x),
+                                          (x - a1, y - a2, b2 - y), (b1 - x, y - a2, b2 - y)))
+            got = fraclap_hypersingular(_req(grid, phi, s), [x, y])
+            assert got == pytest.approx(0.7 * (rho_s / s) * inv_h, rel=1e-12)
 
 
 class TestAugmentedForm:

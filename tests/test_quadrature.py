@@ -1,4 +1,4 @@
-"""Graded singularity-resolving quadrature rules."""
+"""Singularity-resolving quadrature: Duffy fans over a Gauss-Jacobi radial rule."""
 
 import math
 
@@ -77,38 +77,40 @@ class TestGaussPanel:
 class TestGradedRule1D:
     def test_smooth_integrand(self):
         rule = graded_quadrature_rule((0.0, 1.0), 0.3)
-        val = rule.integrate(lambda x: x ** 3)
+        val = rule.integrate_kernel(lambda x: x ** 3)
         assert val == pytest.approx(0.25, rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
     def test_endpoint_singularity_closed_form(self, alpha):
         # integral of x^-alpha over (0, 1] equals 1/(1-alpha)
-        rule = graded_quadrature_rule((0.0, 1.0), 0.0)
-        val = rule.integrate_kernel(-alpha)
+        rule = graded_quadrature_rule((0.0, 1.0), 0.0, -alpha)
+        val = rule.integrate_kernel()
         assert val == pytest.approx(1.0 / (1.0 - alpha), rel=1e-12)
 
     @pytest.mark.parametrize("x0", [0.25, 0.5, 0.8])
     @pytest.mark.parametrize("alpha", [0.5, 0.95])
     def test_interior_singularity_closed_form(self, x0, alpha):
-        rule = graded_quadrature_rule((0.0, 1.0), x0)
+        rule = graded_quadrature_rule((0.0, 1.0), x0, -alpha)
         expect = (x0 ** (1 - alpha) + (1 - x0) ** (1 - alpha)) / (1 - alpha)
-        assert rule.integrate_kernel(-alpha) == pytest.approx(expect, rel=1e-11)
+        assert rule.integrate_kernel() == pytest.approx(expect, rel=1e-11)
 
     def test_kernel_with_field_factor(self):
         # integral of x * x^-0.5 over (0,1] = 2/3 (field evaluated at nodes)
-        rule = graded_quadrature_rule((0.0, 1.0), 0.0)
-        val = rule.integrate_kernel(-0.5, lambda x: x)
+        rule = graded_quadrature_rule((0.0, 1.0), 0.0, -0.5)
+        val = rule.integrate_kernel(lambda x: x)
         assert val == pytest.approx(2.0 / 3.0, rel=1e-10)
 
     def test_order_convergence(self):
-        # error shrinks as the panel order doubles (down to a floor near
-        # machine precision)
+        # error shrinks as the radial order doubles (down to a floor near
+        # machine precision); the field is smooth but no polynomial, which
+        # the Gauss-Jacobi rule would integrate exactly
         x0, alpha = 0.5, 0.75
-        expect = 2.0 * x0 ** (1 - alpha) / (1 - alpha)
+        expect = (quad(np.cos, 0.0, x0, weight="alg", wvar=(0.0, -alpha))[0]
+                  + quad(np.cos, x0, 1.0, weight="alg", wvar=(-alpha, 0.0))[0])
         errs = []
         for order in (2, 4, 8):
-            rule = graded_quadrature_rule((0.0, 1.0), x0, levels=6, gauss_order=order)
-            errs.append(abs(rule.integrate_kernel(-alpha) - expect))
+            rule = graded_quadrature_rule((0.0, 1.0), x0, -alpha, radial_order=order)
+            errs.append(abs(rule.integrate_kernel(np.cos) - expect))
         assert errs[1] < 0.5 * errs[0] or errs[1] < 1e-12
         assert errs[2] < 0.5 * errs[1] or errs[2] < 1e-12
 
@@ -123,17 +125,11 @@ class TestGradedRule1D:
         rule = graded_quadrature_rule((0.0, 2.0), 1.3)
         assert np.sum(rule.weights) == pytest.approx(2.0, rel=1e-12)
 
-    def test_skip_core_excludes_innermost(self):
-        rule = graded_quadrature_rule((0.0, 1.0), 0.5)
-        full = rule.integrate_kernel(-0.5)
-        outer = rule.integrate_kernel(-0.5, skip_core=True)
-        assert outer < full
-
 
 class TestGradedRule2D:
     def test_smooth_integrand(self):
         rule = graded_quadrature_rule((0.0, 1.0, 0.0, 1.0), [0.4, 0.55])
-        val = rule.integrate(lambda p: p[:, 0] ** 2 * p[:, 1])
+        val = rule.integrate_kernel(lambda p: p[:, 0] ** 2 * p[:, 1])
         assert val == pytest.approx(1.0 / 6.0, rel=1e-12)
 
     def test_total_weight_is_area(self):
@@ -144,20 +140,15 @@ class TestGradedRule2D:
     def test_singular_kernel_against_polar_oracle(self, alpha):
         rect = (0.0, 1.0, 0.0, 1.0)
         xs = [0.4, 0.55]
-        rule = graded_quadrature_rule(rect, xs)
+        rule = graded_quadrature_rule(rect, xs, -alpha)
         expect = _polar_square_oracle(rect, xs, alpha)
-        assert rule.integrate_kernel(-alpha) == pytest.approx(expect, rel=1e-9)
+        assert rule.integrate_kernel() == pytest.approx(expect, rel=1e-9)
 
     def test_corner_singularity(self):
         rect = (0.0, 1.0, 0.0, 1.0)
-        rule = graded_quadrature_rule(rect, [0.0, 0.0])
+        rule = graded_quadrature_rule(rect, [0.0, 0.0], -1.0)
         expect = _polar_square_oracle(rect, [1e-14, 1e-14], 1.0)
-        assert rule.integrate_kernel(-1.0) == pytest.approx(expect, rel=1e-7)
-
-
-_CORE_CASES = [((0.0, 1.0), [x0], 5) for x0 in (0.0, 0.5, 1.0, 0.3)] + [
-    ((0.0, 2.0, 0.0, 1.5), xs, 4) for xs in ([0.4, 0.55], [1.0, 0.3], [0.0, 0.0])]
-_CORE_IDS = [f"{len(b) // 2}d-" + ",".join(map(str, x)) for b, x, _ in _CORE_CASES]
+        assert rule.integrate_kernel() == pytest.approx(expect, rel=1e-7)
 
 
 @st.composite
@@ -171,44 +162,31 @@ def _boxes_and_points(draw, dim):
     return np.column_stack([lo, hi]).ravel(), x
 
 
-_RULE_PARAMS = dict(ratio=st.floats(0.25, 0.6), levels=st.integers(4, 16))
+_RULE_PARAMS = dict(radial_order=st.integers(4, 48), gauss_order=st.integers(4, 12))
 
 
 class TestGradedRuleFans:
     """Properties shared by the 1D and 2D rules, both built from Duffy fans."""
 
-    @pytest.mark.parametrize("bounds, xs, levels", _CORE_CASES, ids=_CORE_IDS)
-    def test_core_slice_is_within_core_radius(self, bounds, xs, levels):
-        # a node xs + u*chord lies at radial fraction u = dist / |chord|,
-        # which is its gauge in the box seen from xs; the core is u <= u0
-        rule = graded_quadrature_rule(bounds, xs, levels=levels, gauss_order=3)
-        xs = np.asarray(xs)
-        d = rule.nodes.reshape(len(rule.weights), -1) - xs
-        lo, hi = np.array(bounds[0::2]) - xs, np.array(bounds[1::2]) - xs
-        with np.errstate(divide="ignore", invalid="ignore"):
-            u = np.where(d > 0, d / hi, np.where(d < 0, d / lo, 0.0)).max(axis=1)
-        in_core = np.zeros(len(rule.dist), bool)
-        in_core[rule.core_slice] = True
-        assert in_core.any() and not in_core.all()
-        assert np.array_equal(in_core, u <= rule.core_scale * (1.0 + 1e-9))
-
     @settings(deadline=None, max_examples=50)
     @given(dim=st.sampled_from([1, 2]), data=st.data(), **_RULE_PARAMS)
-    def test_weights_and_fans_cover_the_box(self, dim, data, ratio, levels):
+    def test_weights_and_fans_cover_the_box(self, dim, data, radial_order, gauss_order):
         bounds, x = data.draw(_boxes_and_points(dim))
         measure = np.prod(bounds[1::2] - bounds[0::2])
-        rule = graded_quadrature_rule(bounds, x, levels=levels, ratio=ratio)
+        rule = graded_quadrature_rule(bounds, x, radial_order=radial_order,
+                                      gauss_order=gauss_order)
         assert np.sum(rule.weights) == pytest.approx(measure, rel=1e-13)
         fan_measure = sum(fan.jac for fan in rule.fans) / math.factorial(dim)
         assert fan_measure == pytest.approx(measure, rel=1e-13)
 
     @settings(deadline=None, max_examples=50)
     @given(box=_boxes_and_points(1), alpha=st.floats(0.05, 0.95), **_RULE_PARAMS)
-    def test_interval_kernel_closed_form(self, box, alpha, ratio, levels):
+    def test_interval_kernel_closed_form(self, box, alpha, radial_order, gauss_order):
         (a, b), (x,) = box
-        rule = graded_quadrature_rule((a, b), x, levels=levels, ratio=ratio)
+        rule = graded_quadrature_rule((a, b), x, -alpha, radial_order=radial_order,
+                                      gauss_order=gauss_order)
         expect = ((x - a) ** (1.0 - alpha) + (b - x) ** (1.0 - alpha)) / (1.0 - alpha)
-        assert rule.integrate_kernel(-alpha) == pytest.approx(expect, rel=1e-7)
+        assert rule.integrate_kernel() == pytest.approx(expect, rel=1e-7)
 
 
 class TestValidation:
@@ -224,13 +202,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="outside"):
             graded_quadrature_rule(domain, x)
 
-    def test_bad_ratio(self):
-        with pytest.raises(ValueError):
-            graded_quadrature_rule((0.0, 1.0), 0.5, ratio=1.5)
+    def test_bad_radial_order(self):
+        with pytest.raises(ValueError, match="radial order"):
+            graded_quadrature_rule((0.0, 1.0), 0.5, radial_order=0)
 
-    def test_bad_levels(self):
+    @pytest.mark.parametrize("domain, x, power", [((0.0, 1.0), 0.5, -1.0),
+                                                  ((0.0, 1.0, 0.0, 1.0), [0.5, 0.5], -2.5)],
+                             ids=["1d", "2d"])
+    def test_non_integrable_power(self, domain, x, power):
         with pytest.raises(ValueError):
-            graded_quadrature_rule((0.0, 1.0), 0.5, levels=0)
+            graded_quadrature_rule(domain, x, power)
 
     def test_bad_gauss_order(self):
         for domain, x in (((0.0, 1.0), 0.5), ((0.0, 1.0, 0.0, 1.0), [0.5, 0.5])):

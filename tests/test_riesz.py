@@ -174,6 +174,6 @@ class TestValidation:
     def test_custom_rule_params(self):
         grid = make_interval_grid(0.0, 1.0, 11)
         req = PotentialRequest(grid=grid, phi=TestFunction.constant(1.0),
-                               sigma=0.5, rule=RuleParams(levels=6, gauss_order=4))
+                               sigma=0.5, rule=RuleParams(radial_order=6, gauss_order=4))
         expect = _c(1, 0.5) * 2 * 0.5 ** 0.5 / 0.5
         assert riesz_potential_point(req, 0.5) == pytest.approx(expect, rel=1e-6)
