@@ -260,20 +260,23 @@ def _cmd_matpow(args):
     params = {"matrix": args.matrix, "assemble": args.assemble, "s": args.s,
               "apply": args.apply, "check": args.check,
               "boundary_conditions": "homogeneous dirichlet"}
-    if args.check:
+    if args.check == "spectral":
         eig = op.dense()
-        if args.check == "spectral":
-            power = discrete.matrix_fractional_power(eig, alpha)
-            lam = np.sort(np.linalg.eigvalsh(power))
-            measured = float(np.max(np.abs(lam - eig.eigenvalues ** alpha)
-                                    / np.maximum(eig.eigenvalues ** alpha, 1e-300)))
-            tol = 1e-10
-        else:
-            pa = discrete.matrix_fractional_power(eig, alpha / 2.0)
-            pab = discrete.matrix_fractional_power(eig, alpha)
-            measured = float(np.linalg.norm(pa @ pa - pab, "fro")
-                             / np.linalg.norm(pab, "fro"))
-            tol = 1e-8
+        power = discrete.matrix_fractional_power(eig, alpha)
+        lam = np.sort(np.linalg.eigvalsh(power))
+        measured = float(np.max(np.abs(lam - eig.eigenvalues ** alpha)
+                                / np.maximum(eig.eigenvalues ** alpha, 1e-300)))
+        tol = 1e-10
+    elif args.check == "semigroup":
+        # K^(s/4) (K^(s/4) v) = K^(s/2) v on seeded random vectors, matrix-free
+        measured = 0.0
+        for v in np.random.default_rng(0).standard_normal((3, op.n)):
+            half = discrete.apply_fraclap_discrete(op, args.s / 2.0, v)
+            twice = discrete.apply_fraclap_discrete(op, args.s / 2.0, half)
+            full = discrete.apply_fraclap_discrete(op, args.s, v)
+            measured = max(measured, float(np.linalg.norm(twice - full) / np.linalg.norm(full)))
+        tol = 1e-8
+    if args.check:
         ok = measured <= tol
         report = {"check": args.check, "measured": measured, "tolerance": tol, "pass": ok}
         print(json.dumps(report))

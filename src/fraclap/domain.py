@@ -1,13 +1,19 @@
-"""Bounded domains (interval, rectangle), analytic test fields, and boundary data."""
+"""Bounded domains (interval, rectangle), analytic test fields, and boundary data.
+
+Both grids share one set of methods written from ``bounds`` and ``axes``:
+``(nodes,)`` or ``(x_nodes, y_nodes)``.  The boundary quadrature takes its
+facets and facet rule from :mod:`fraclap.quadrature`, as the Duffy fans do.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import MissingBoundaryData
-from .quadrature import DEFAULT_GAUSS_ORDER, gauss_panel
+from .quadrature import DEFAULT_GAUSS_ORDER, box_facets, facet_rule
 
 __all__ = [
     "Grid1D",
@@ -22,9 +28,53 @@ __all__ = [
 ]
 
 
+MARGIN_CELLS = 2   # interior margin, in cells, of evaluation points and interior nodes
+
+
+def _product_points(axes):
+    """The tensor product of per-axis nodes as (N, d) points, the last axis fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+class _Box:
+    """Grid methods shared by both dimensions, written from ``bounds`` and ``axes``."""
+
+    @property
+    def dim(self):
+        return len(self.axes)
+
+    def _sides(self):
+        """(lo, hi, nodes) of each axis."""
+        return zip(self.bounds[0::2], self.bounds[1::2], self.axes)
+
+    @property
+    def spacing(self):
+        """The widest cell width over the axes."""
+        return max((hi - lo) / (len(ax) - 1) for lo, hi, ax in self._sides())
+
+    @property
+    def diameter(self):
+        return float(np.hypot.reduce([hi - lo for lo, hi, _ in self._sides()]))
+
+    @property
+    def measure(self):
+        return math.prod(hi - lo for lo, hi, _ in self._sides())
+
+    def distance_to_boundary(self, x):
+        p = np.asarray(x, float).reshape(self.dim)
+        return float(min(min(pk - lo, hi - pk) for pk, (lo, hi, _) in zip(p, self._sides())))
+
+    def interior_nodes(self, margin_cells=MARGIN_CELLS):
+        """Nodes at least ``margin_cells`` cells from the boundary: (N,) in 1D, (N, 2) in 2D."""
+        delta = margin_cells * self.spacing
+        kept = [ax[(ax - lo >= delta - 1e-14) & (hi - ax >= delta - 1e-14)]
+                for lo, hi, ax in self._sides()]
+        return kept[0] if self.dim == 1 else _product_points(kept)
+
+
 @dataclass(frozen=True)
-class Grid1D:
-    """Uniform interval grid with boundary markers."""
+class Grid1D(_Box):
+    """Uniform interval grid."""
 
     a: float
     b: float
@@ -32,38 +82,17 @@ class Grid1D:
     nodes: np.ndarray
 
     @property
-    def dim(self):
-        return 1
-
-    @property
     def bounds(self):
         return (self.a, self.b)
 
     @property
-    def spacing(self):
-        return (self.b - self.a) / (self.n - 1)
-
-    @property
-    def diameter(self):
-        return self.b - self.a
-
-    @property
-    def measure(self):
-        return self.b - self.a
-
-    def distance_to_boundary(self, x):
-        x = float(np.asarray(x).reshape(()))
-        return min(x - self.a, self.b - x)
-
-    def interior_nodes(self, margin_cells=2):
-        delta = margin_cells * self.spacing
-        mask = (self.nodes - self.a >= delta - 1e-14) & (self.b - self.nodes >= delta - 1e-14)
-        return self.nodes[mask]
+    def axes(self):
+        return (self.nodes,)
 
 
 @dataclass(frozen=True)
-class Grid2D:
-    """Tensor-product rectangle grid; boundary edges carry unit outward normals."""
+class Grid2D(_Box):
+    """Tensor-product rectangle grid."""
 
     a1: float
     b1: float
@@ -75,45 +104,12 @@ class Grid2D:
     y_nodes: np.ndarray
 
     @property
-    def dim(self):
-        return 2
-
-    @property
     def bounds(self):
         return (self.a1, self.b1, self.a2, self.b2)
 
     @property
-    def spacing(self):
-        return max((self.b1 - self.a1) / (self.nx - 1), (self.b2 - self.a2) / (self.ny - 1))
-
-    @property
-    def diameter(self):
-        return float(np.hypot(self.b1 - self.a1, self.b2 - self.a2))
-
-    @property
-    def measure(self):
-        return (self.b1 - self.a1) * (self.b2 - self.a2)
-
-    def edges(self):
-        """Boundary edges as (start, end, outward unit normal), counterclockwise."""
-        c = [np.array([self.a1, self.a2]), np.array([self.b1, self.a2]),
-             np.array([self.b1, self.b2]), np.array([self.a1, self.b2])]
-        normals = [np.array([0.0, -1.0]), np.array([1.0, 0.0]),
-                   np.array([0.0, 1.0]), np.array([-1.0, 0.0])]
-        return [(c[i], c[(i + 1) % 4], normals[i]) for i in range(4)]
-
-    def distance_to_boundary(self, p):
-        p = np.asarray(p, float).reshape(2)
-        return min(p[0] - self.a1, self.b1 - p[0], p[1] - self.a2, self.b2 - p[1])
-
-    def interior_nodes(self, margin_cells=2):
-        delta = margin_cells * self.spacing
-        xs = self.x_nodes[(self.x_nodes - self.a1 >= delta - 1e-14)
-                          & (self.b1 - self.x_nodes >= delta - 1e-14)]
-        ys = self.y_nodes[(self.y_nodes - self.a2 >= delta - 1e-14)
-                          & (self.b2 - self.y_nodes >= delta - 1e-14)]
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
-        return np.column_stack([gx.ravel(), gy.ravel()])
+    def axes(self):
+        return (self.x_nodes, self.y_nodes)
 
 
 def make_interval_grid(a: float, b: float, n: int) -> Grid1D:
@@ -148,28 +144,24 @@ class BoundaryQuadrature:
 
 
 def boundary_quadrature(grid, gauss_order=DEFAULT_GAUSS_ORDER) -> BoundaryQuadrature:
-    """Surface quadrature: endpoint rule in 1D, composite Gauss per edge in 2D.
+    """Surface quadrature: ``facet_rule`` on each of the box's facets.
 
-    In 2D every edge is split into ``max(nx, ny) - 1`` equal panels, the
-    number of cells along the grid's longer direction, whatever the edge's
-    length.
+    In 1D that is the two endpoints with weight 1.  In 2D every edge is
+    split into ``max(nx, ny) - 1`` equal Gauss panels, the number of cells
+    along the grid's longer direction, whatever the edge's length.
     """
+    bounds = np.asarray(grid.bounds, float)
+    lo, hi = bounds[0::2], bounds[1::2]
+    verts, normals = box_facets(lo, hi)
+    bary, w = facet_rule(grid.dim, max(len(ax) for ax in grid.axes) - 1, gauss_order)
+    # the facet normal to one axis spans the box's sides along the others
+    size = np.prod(np.where(normals == 0.0, hi - lo, 1.0), axis=1)
+    pts = (bary @ verts).reshape(-1, grid.dim)
+    nrm = np.repeat(normals, len(w), axis=0)
     if grid.dim == 1:
-        return BoundaryQuadrature(points=np.array([grid.a, grid.b]),
-                                  normals=np.array([-1.0, 1.0]),
-                                  weights=np.array([1.0, 1.0]), dim=1)
-    npan = max(grid.nx, grid.ny) - 1
-    j = np.arange(npan)
-    t, w = gauss_panel(j / npan, (j + 1) / npan, gauss_order)
-    pts, nrm, wts = [], [], []
-    for start, end, normal in grid.edges():
-        tangent = end - start
-        length = float(np.hypot(*tangent))
-        pts.append(start[None, :] + t[:, None] * tangent[None, :])
-        nrm.append(np.broadcast_to(normal, (len(t), 2)))
-        wts.append(w * length)
-    return BoundaryQuadrature(points=np.vstack(pts), normals=np.vstack(nrm),
-                              weights=np.concatenate(wts), dim=2)
+        pts, nrm = pts[:, 0], nrm[:, 0]
+    return BoundaryQuadrature(points=pts, normals=nrm, weights=(size[:, None] * w).ravel(),
+                              dim=grid.dim)
 
 
 def _as_points(x, dim):
@@ -294,44 +286,27 @@ class TestFunction:
 
     @staticmethod
     def sine_mode(k, grid):
-        """Product of sine modes vanishing on the boundary of ``grid``."""
-        k = int(k)
-        if grid.dim == 1:
-            om = k * np.pi / (grid.b - grid.a)
-            a = grid.a
-            return TestFunction(
-                kind=f"sine:{k}", dim=1,
-                _value=lambda p: np.sin(om * (p[:, 0] - a)),
-                _gradient=lambda p: om * np.cos(om * (p[:, 0] - a))[:, None],
-                _laplacian=lambda p: -om ** 2 * np.sin(om * (p[:, 0] - a)),
-                _hessian=lambda p: -om ** 2 * np.sin(om * (p[:, 0] - a))[:, None, None],
-            )
-        omx = k * np.pi / (grid.b1 - grid.a1)
-        omy = k * np.pi / (grid.b2 - grid.a2)
-        a1, a2 = grid.a1, grid.a2
+        """Product of sine modes vanishing on the boundary of ``grid``; a derivative of
+        the product is the product of the matching derivatives of its factors."""
+        bounds = np.asarray(grid.bounds, float)
+        k, dim, lo = int(k), grid.dim, bounds[0::2]
+        om = k * np.pi / (bounds[1::2] - lo)
+        eye = np.eye(dim, dtype=int)
 
         def val(p):
-            return np.sin(omx * (p[:, 0] - a1)) * np.sin(omy * (p[:, 1] - a2))
+            return np.prod(np.sin(om * (p - lo)), axis=1)
 
-        def grad(p):
-            sx, cx = np.sin(omx * (p[:, 0] - a1)), np.cos(omx * (p[:, 0] - a1))
-            sy, cy = np.sin(omy * (p[:, 1] - a2)), np.cos(omy * (p[:, 1] - a2))
-            return np.column_stack([omx * cx * sy, omy * sx * cy])
+        def derivative(p, orders):
+            """Product over l of derivative orders[..., l] of factor l: orders.shape[:-1] + (N,)."""
+            t = om * (p - lo)
+            factors = np.stack([np.sin(t), om * np.cos(t), -om ** 2 * np.sin(t)])
+            return np.prod(factors[orders, :, np.arange(dim)], axis=orders.ndim - 1)
 
-        def lap(p):
-            return -(omx ** 2 + omy ** 2) * val(p)
-
-        def hess(p):
-            sx, cx = np.sin(omx * (p[:, 0] - a1)), np.cos(omx * (p[:, 0] - a1))
-            sy, cy = np.sin(omy * (p[:, 1] - a2)), np.cos(omy * (p[:, 1] - a2))
-            h = np.empty((len(p), 2, 2))
-            h[:, 0, 0] = -omx ** 2 * sx * sy
-            h[:, 1, 1] = -omy ** 2 * sx * sy
-            h[:, 0, 1] = h[:, 1, 0] = omx * omy * cx * cy
-            return h
-
-        return TestFunction(kind=f"sine:{k}", dim=2,
-                            _value=val, _gradient=grad, _laplacian=lap, _hessian=hess)
+        return TestFunction(
+            kind=f"sine:{k}", dim=dim, _value=val,
+            _gradient=lambda p: derivative(p, eye).T,
+            _laplacian=lambda p: -np.sum(om ** 2) * val(p),
+            _hessian=lambda p: derivative(p, eye[:, None] + eye[None, :]).transpose(2, 0, 1))
 
 
 class FieldAdapter:
@@ -350,7 +325,7 @@ class FieldAdapter:
             self.tf = phi
             return
         self.samples = np.asarray(phi, float)
-        shape = grid.nodes.shape if self.dim == 1 else (grid.nx, grid.ny)
+        shape = tuple(len(ax) for ax in grid.axes)
         if self.samples.shape != shape:
             raise ValueError(f"samples must have shape {shape}, got {self.samples.shape}")
         self._value = self._interpolant(self.samples)
@@ -359,13 +334,12 @@ class FieldAdapter:
         grid = self.grid
         if self.dim == 1:
             return lambda pts: np.interp(pts[:, 0], grid.nodes, values)
-        axes = (grid.x_nodes, grid.y_nodes)
 
         def bilinear(pts):
             # cell index clipped to the grid, fraction not: points outside
             # extrapolate linearly from the boundary cell
             cells = []
-            for k, ax in enumerate(axes):
+            for k, ax in enumerate(grid.axes):
                 i = np.clip(np.searchsorted(ax, pts[:, k]) - 1, 0, len(ax) - 2)
                 cells.append((i, (pts[:, k] - ax[i]) / (ax[i + 1] - ax[i])))
             (i, tx), (j, ty) = cells
@@ -376,19 +350,15 @@ class FieldAdapter:
     def _discrete_laplacian(self):
         """Second-order FD Laplacian of the samples, edges copied from neighbors."""
         v = self.samples
-        if self.dim == 1:
-            h = self.grid.spacing
-            lap = np.empty_like(v)
-            lap[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h ** 2
-            lap[0], lap[-1] = lap[1], lap[-2]
-            return lap
-        hx = (self.grid.b1 - self.grid.a1) / (self.grid.nx - 1)
-        hy = (self.grid.b2 - self.grid.a2) / (self.grid.ny - 1)
         lap = np.zeros_like(v)
-        lap[1:-1, 1:-1] = ((v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / hx ** 2
-                           + (v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / hy ** 2)
-        lap[0, :], lap[-1, :] = lap[1, :], lap[-2, :]
-        lap[:, 0], lap[:, -1] = lap[:, 1], lap[:, -2]
+        inner = (slice(1, -1),) * self.dim
+        for k, (lo, hi, ax) in enumerate(self.grid._sides()):
+            ahead, behind = (inner[:k] + (sl,) + inner[k + 1:]
+                             for sl in (slice(2, None), slice(None, -2)))
+            lap[inner] += (v[ahead] - 2.0 * v[inner] + v[behind]) / ((hi - lo) / (len(ax) - 1)) ** 2
+        for k in range(self.dim):
+            edge = (slice(None),) * k
+            lap[edge + (0,)], lap[edge + (-1,)] = lap[edge + (1,)], lap[edge + (-2,)]
         return lap
 
     def value(self, pts):

@@ -6,29 +6,28 @@ For twice-differentiable phi, v the identity reads
         = surface integral of (v dphi/dn - phi dv/dn).
 
 The residual of the discretized identity is the lemma check underlying the
-boundary-augmented fractional Laplacian.
+boundary-augmented fractional Laplacian.  Both sides are written once for
+the interval and the rectangle.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from .domain import boundary_quadrature
+from .domain import _product_points, boundary_quadrature
 from .quadrature import DEFAULT_GAUSS_ORDER, gauss_panel
 
 __all__ = ["volume_quadrature", "green_residual"]
 
 
 def volume_quadrature(grid, gauss_order=DEFAULT_GAUSS_ORDER):
-    """Per-cell tensor Gauss rule over the whole domain; (points, weights)."""
-    if grid.dim == 1:
-        return gauss_panel(grid.nodes[:-1], grid.nodes[1:], gauss_order)
-    px, wx = gauss_panel(grid.x_nodes[:-1], grid.x_nodes[1:], gauss_order)
-    py, wy = gauss_panel(grid.y_nodes[:-1], grid.y_nodes[1:], gauss_order)
-    gx, gy = np.meshgrid(px, py, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    wts = np.outer(wx, wy).ravel()
-    return pts, wts
+    """Tensor product of per-axis, per-cell Gauss rules; points (N,) in 1D, (N, 2) in 2D."""
+    rules = [gauss_panel(ax[:-1], ax[1:], gauss_order) for ax in grid.axes]
+    pts = _product_points([p for p, _ in rules])
+    wts = functools.reduce(np.multiply.outer, [w for _, w in rules]).ravel()
+    return (pts[:, 0] if grid.dim == 1 else pts), wts
 
 
 def green_residual(grid, phi, v, gauss_order=DEFAULT_GAUSS_ORDER) -> float:

@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .domain import BoundaryData, FieldAdapter, boundary_quadrature
+from .domain import MARGIN_CELLS, BoundaryData, FieldAdapter, boundary_quadrature
 from .errors import MissingBoundaryData
 from .riesz import (PotentialRequest, RuleParams, _eval_points, _nodes_2d,
                     riesz_potential_point)
@@ -69,7 +69,6 @@ class FracLapRequest:
     definition: Definition = Definition.NEW
     boundary: BoundaryData = None
     rule: RuleParams = field(default_factory=RuleParams)
-    margin_cells: float = 2.0
 
     def __post_init__(self):
         order = self.s if isinstance(self.s, FractionalOrder) else FractionalOrder(self.s)
@@ -81,16 +80,14 @@ class FracLapRequest:
                     "augmented definitions require boundary data")
             self.boundary.require_full()
 
-    @property
-    def delta(self):
-        return self.margin_cells * self.grid.spacing
-
     def check_margin(self, x):
+        """Distance of x to the boundary; at least ``MARGIN_CELLS`` cells or ValueError."""
         dist = self.grid.distance_to_boundary(x)
-        if dist < self.delta - 1e-12:
+        delta = MARGIN_CELLS * self.grid.spacing
+        if dist < delta - 1e-12:
             raise ValueError(
                 f"evaluation point {x!r} violates the interior margin "
-                f"(distance {dist:.3g} < delta {self.delta:.3g})")
+                f"(distance {dist:.3g} < delta {delta:.3g})")
         return dist
 
     def fld(self):
@@ -197,14 +194,12 @@ def surface_integral(req: FracLapRequest, x, as_printed=False) -> float:
     return pref * float(np.sum(bq.weights * (bd.dirichlet * dvdn - v * bd.neumann)))
 
 
-def fraclap_augmented(req: FracLapRequest, x, as_printed=None) -> float:
-    if as_printed is None:
-        as_printed = req.definition is Definition.AUGMENTED_AS_PRINTED
-    if req.boundary is None:
-        raise MissingBoundaryData("augmented evaluation requires boundary data")
-    req.boundary.require_full()
+def fraclap_augmented(req: FracLapRequest, x) -> float:
+    """Finite part plus surface term, with the surface kernels ``req.definition`` names."""
     req.check_margin(x)
-    return _finite_part_volume(req, x) + surface_integral(req, x, as_printed=as_printed)
+    # the surface term first: it raises MissingBoundaryData before the volume work
+    as_printed = req.definition is Definition.AUGMENTED_AS_PRINTED
+    return surface_integral(req, x, as_printed=as_printed) + _finite_part_volume(req, x)
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,11 @@ kernel is folded into the weights, jac * |c|^p * w_u * w_v, and a rule built
 for power p integrates f r^p as a plain weighted sum of f.
 
 One radial rule, cached per (beta, order), serves every fan in both
-dimensions.  Only the facets and the angular rule depend on the dimension:
-one node of weight 1 at an endpoint, ``_ANGULAR_PANELS`` Gauss panels along
-an edge.  ``gauss_panel`` makes every composite Gauss-Legendre rule; it maps
-one Legendre rule onto all the panels of a rule at once.
+dimensions.  Only the facets and the facet rule depend on the dimension;
+``box_facets`` and ``facet_rule`` (one node of weight 1 on an endpoint,
+Gauss panels along an edge) also make ``domain.boundary_quadrature``.
+``gauss_panel`` makes every composite Gauss-Legendre rule; it maps one
+Legendre rule onto all the panels of a rule at once.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GradedPanels", "gauss_panel", "graded_quadrature_rule"]
+__all__ = ["GradedPanels", "box_facets", "facet_rule", "gauss_panel", "graded_quadrature_rule"]
 
 DEFAULT_RADIAL_ORDER = 32
 DEFAULT_GAUSS_ORDER = 8
@@ -61,15 +62,6 @@ def _radial_rule(beta, order):
 
 
 @dataclass
-class Fan:
-    """The cone from the singular point over one boundary facet (Duffy fan)."""
-
-    jac: float                # |det| of the facet's vertices minus the singular point
-    chords: np.ndarray        # (nv, d) angular barycentric nodes times those vertices
-    chord_len: np.ndarray     # (nv,)
-
-
-@dataclass
 class GradedPanels:
     """Quadrature rule for f(xi) * r^p, r the distance to one singular point
     and p the kernel power the rule was built for.
@@ -83,7 +75,7 @@ class GradedPanels:
     nodes: np.ndarray
     weights: np.ndarray
     dist: np.ndarray
-    fans: list                         # one Fan per facet the point does not lie on
+    fan_jac: np.ndarray                # (F,) |det| of each Duffy fan the rule sums over
 
     def integrate_kernel(self, f=1.0) -> float:
         """Integrate f(xi) * r^p: f a callable of the nodes, values at them, or a constant."""
@@ -91,41 +83,47 @@ class GradedPanels:
         return float(np.sum(self.weights * vals))
 
 
-def _facets_and_angular_rule(lo, hi, order):
-    """Boundary facets as (d, d) vertex arrays, and the angular rule over a facet.
-
-    The angular rule is barycentric nodes (nv, d) with weights (nv,): one node
-    of weight 1 on an interval's endpoint, Gauss panels along a rectangle's edge.
-    """
+def box_facets(lo, hi):
+    """Facets of the box [lo, hi] as (F, d, d) vertices and (F, d) outward normals:
+    an interval's two endpoints, or a rectangle's four edges counterclockwise."""
+    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
     if len(lo) == 1:
-        return [lo[None], hi[None]], np.ones((1, 1)), np.ones(1)
+        return np.stack([lo, hi])[:, None], np.array([[-1.0], [1.0]])
     corners = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
-    j = np.arange(_ANGULAR_PANELS)
-    v, wv = gauss_panel(j / _ANGULAR_PANELS, (j + 1) / _ANGULAR_PANELS, order)
-    return ([corners[[i, (i + 1) % 4]] for i in range(4)],
-            np.column_stack([1.0 - v, v]), wv)
+    normals = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    return np.stack([corners, np.roll(corners, -1, axis=0)], axis=1), normals
+
+
+@functools.lru_cache(maxsize=128)
+def facet_rule(d, panels, order):
+    """Read-only barycentric nodes (nv, d) and weights (nv,) on a facet of unit measure:
+    one node of weight 1 on an endpoint, ``panels`` Gauss panels along an edge."""
+    if d == 1:
+        bary, w = np.ones((1, 1)), np.ones(1)
+    else:
+        j = np.arange(panels)
+        v, w = gauss_panel(j / panels, (j + 1) / panels, order)
+        bary = np.column_stack([1.0 - v, v])
+    bary.flags.writeable = w.flags.writeable = False
+    return bary, w
 
 
 def _graded_rule(lo, hi, x, power, radial_order, order):
     d = len(x)
-    facets, bary, wv = _facets_and_angular_rule(lo, hi, order)
-    fans = []
-    for verts in facets:
-        rel = verts - x
-        jac = abs(float(np.linalg.det(rel)))
-        if jac >= 1e-30:  # a facet through x spans no volume
-            chords = bary @ rel
-            fans.append(Fan(jac, chords, np.sqrt(np.sum(chords * chords, axis=1))))
-    jac = np.array([f.jac for f in fans])[:, None, None]
-    chords = np.stack([f.chords for f in fans])            # (F, nv, d)
-    clen = np.stack([f.chord_len for f in fans])           # (F, nv)
+    verts, _ = box_facets(lo, hi)
+    bary, wv = facet_rule(d, _ANGULAR_PANELS, order)
+    rel = verts - x                                        # (F, d, d)
+    jac = np.abs(np.linalg.det(rel))
+    keep = jac >= 1e-30  # a facet through x spans no volume
+    jac, chords = jac[keep], bary @ rel[keep]              # (F,), (F, nv, d)
+    clen = np.sqrt(np.sum(chords * chords, axis=2))        # (F, nv)
     u, wu = _radial_rule(d - 1.0 + power, radial_order)
     pos = x + u[None, :, None, None] * chords[:, None]     # (F, nu, nv, d)
-    w = jac * wu[:, None] * (wv * clen ** power)[:, None, :]
+    w = jac[:, None, None] * wu[:, None] * (wv * clen ** power)[:, None, :]
     r = u[:, None] * clen[:, None, :]
     pos = pos.reshape(-1, d)
     return GradedPanels(dim=d, nodes=pos if d > 1 else pos[:, 0],
-                        weights=w.ravel(), dist=r.ravel(), fans=fans)
+                        weights=w.ravel(), dist=r.ravel(), fan_jac=jac)
 
 
 def graded_quadrature_rule(domain, singular_point, power=0.0, radial_order=DEFAULT_RADIAL_ORDER,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fraclap
-from fraclap import discrete
+from fraclap import cli, discrete
 
 # the child process imports the same fraclap as this one
 _SRC = os.path.dirname(os.path.dirname(fraclap.__file__))
@@ -145,6 +145,18 @@ class TestMatpow:
         assert r.returncode == 0
         report = json.loads(r.stdout)
         assert report["pass"] is True
+
+    def test_check_semigroup_detects_a_wrong_power(self, monkeypatch, capsys):
+        # modes that come back 0.1% too large break the identity by 1e-3
+        to_modes = discrete.DirichletStencil.to_modes
+        monkeypatch.setattr(discrete.DirichletStencil, "from_modes",
+                            lambda self, c: 1.001 * to_modes(self, c))
+        code = cli.main(["matpow", "--assemble", "2d:6,5,1,1.5", "--s", "0.8",
+                         "--check", "semigroup"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert report["pass"] is False
+        assert report["measured"] == pytest.approx(1e-3, rel=1e-6)
 
     def test_check_spectral(self):
         r = run_cli("matpow", "--assemble", "1d:12,1", "--s", "0.7",

@@ -7,6 +7,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 import fraclap
@@ -93,6 +95,28 @@ class TestBoundaryQuadrature:
         assert flux == pytest.approx(1.5, rel=1e-13)  # volume integral of 3x
 
 
+    @settings(deadline=None, max_examples=60)
+    @given(dim=st.sampled_from([1, 2]), data=st.data(), gauss_order=st.integers(1, 10))
+    def test_closed_surface_identities(self, dim, data, gauss_order):
+        lo = [data.draw(st.floats(-2.0, 2.0)) for _ in range(dim)]
+        sides = [data.draw(st.floats(0.1, 3.0)) for _ in range(dim)]
+        sizes = [data.draw(st.integers(3, 40)) for _ in range(dim)]
+        if dim == 1:
+            grid = make_interval_grid(lo[0], lo[0] + sides[0], sizes[0])
+        else:
+            grid = make_rectangle_grid(lo[0], lo[0] + sides[0], lo[1], lo[1] + sides[1], *sizes)
+        bq = boundary_quadrature(grid, gauss_order=gauss_order)
+        pts, nrm = bq.points.reshape(-1, dim), bq.normals.reshape(-1, dim)
+        scale = np.max(np.abs(pts)) + 1.0
+        boundary_measure = 2.0 if dim == 1 else 2.0 * sum(sides)
+        # the outward normal of a closed surface integrates to zero
+        np.testing.assert_allclose(bq.weights @ nrm, 0.0, atol=1e-13 * boundary_measure)
+        # divergence theorem for F = x: div F = d
+        assert bq.weights @ np.sum(pts * nrm, axis=1) == pytest.approx(
+            dim * grid.measure, rel=1e-13, abs=1e-13 * scale * boundary_measure)
+        assert np.sum(bq.weights) == pytest.approx(boundary_measure, rel=1e-13)
+
+
 def _check_derivatives(f, pts, tol=5e-6):
     """Finite-difference consistency of gradient / Laplacian / Hessian."""
     h = 1e-5
@@ -165,6 +189,23 @@ class TestTestFunction:
         _check_derivatives(f, [[0.3, 0.5], [0.7, 0.25]])
         assert abs(f.value([0.0, 0.5])) < 1e-14
         assert abs(f.value([0.5, 1.0])) < 1e-14
+
+    @pytest.mark.parametrize("make", [
+        lambda g: TestFunction.gaussian_bump([0.4, 1.1], 0.3),
+        lambda g: TestFunction.quadratic(dim=2),
+        lambda g: TestFunction.affine([0.7, -1.3], 0.2),
+        lambda g: TestFunction.constant(2.5, dim=2),
+        lambda g: TestFunction.sine_mode(2, g),
+    ], ids=["bump", "quadratic", "affine", "constant", "sine"])
+    def test_hessian_2d_matches_gradient_difference(self, make):
+        # every entry, off-diagonals included, against a central difference of the gradient
+        grid = make_rectangle_grid(0.0, 1.0, 0.0, 2.0, 5, 9)
+        f = make(grid)
+        pts = np.array([[0.3, 0.45], [0.71, 1.37], [0.55, 0.2]])
+        h = 1e-5
+        fd = np.stack([(f.gradient(pts + h * e) - f.gradient(pts - h * e)) / (2 * h)
+                       for e in np.eye(2)], axis=2)
+        np.testing.assert_allclose(f.hessian(pts), fd, rtol=1e-6, atol=1e-6)
 
     def test_batch_evaluation_shapes(self):
         f = TestFunction.gaussian_bump([0.5], 0.2)

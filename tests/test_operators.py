@@ -222,8 +222,10 @@ class TestAugmentedForm:
         grid = make_interval_grid(0.0, 1.0, 21)
         phi = TestFunction.quadratic(dim=1)
         req = _with_bc(grid, phi, 0.5, Definition.AUGMENTED_AS_PRINTED)
-        v = fraclap_augmented(req, 0.5, as_printed=True)
+        v = fraclap_augmented(req, 0.5)
         assert np.isfinite(v)
+        assert v != pytest.approx(
+            fraclap_augmented(_with_bc(grid, phi, 0.5, Definition.AUGMENTED), 0.5), rel=1e-6)
 
     def test_requires_boundary_data(self):
         grid = make_interval_grid(0.0, 1.0, 21)

@@ -176,7 +176,7 @@ class TestGradedRuleFans:
         rule = graded_quadrature_rule(bounds, x, radial_order=radial_order,
                                       gauss_order=gauss_order)
         assert np.sum(rule.weights) == pytest.approx(measure, rel=1e-13)
-        fan_measure = sum(fan.jac for fan in rule.fans) / math.factorial(dim)
+        fan_measure = sum(rule.fan_jac) / math.factorial(dim)
         assert fan_measure == pytest.approx(measure, rel=1e-13)
 
     @settings(deadline=None, max_examples=50)
