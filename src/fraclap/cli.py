@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 failed validation checks, 2 argument errors,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -40,10 +41,12 @@ def _fmt(v):
 
 
 def _write_output(args, header, rows, extra_params):
-    text = header + "\n" + "\n".join(rows) + ("\n" if rows else "")
+    """The header line, then each of ``rows`` (a line or a block of lines) and a newline."""
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(row + "\n")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
         manifest = {
             "version": __version__,
             "command": args.command,
@@ -53,8 +56,6 @@ def _write_output(args, header, rows, extra_params):
         with open(args.out + ".manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    else:
-        sys.stdout.write(text)
 
 
 def _parse_domain(text, d):
@@ -317,13 +318,14 @@ def _cmd_diffuse(args):
     u0 = _parse_ic(args.ic, stencil)
     times = [float(t) for t in args.times.split(",")]
     sols = discrete.modal_diffusion_solve(stencil, args.s, u0, times)
-    rows = []
-    for t, u in zip(times, sols):
-        t_text, norm_text = _fmt(t), _fmt(np.linalg.norm(u))
-        rows.extend(f"{t_text},{node},{_fmt(v)},{norm_text}" for node, v in enumerate(u))
+
+    def slices():  # one block of rows per time, so the whole output is never one string
+        for t, u in zip(times, sols):
+            t_text, norm_text = _fmt(t), _fmt(np.linalg.norm(u))
+            yield "\n".join(f"{t_text},{node},{_fmt(v)},{norm_text}" for node, v in enumerate(u))
     params = {"assemble": args.assemble, "s": args.s, "ic": args.ic,
               "times": times, "boundary_conditions": "homogeneous dirichlet"}
-    _write_output(args, "t,node,value,norm", rows, params)
+    _write_output(args, "t,node,value,norm", slices(), params)
     return 0
 
 

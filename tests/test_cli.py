@@ -229,6 +229,19 @@ class TestDiffuse:
                     "--ic", "point:9", "--times", "0.1")
         assert r.returncode == 2
 
+    def test_out_file_matches_stdout_row_for_row(self, tmp_path, capsys):
+        # 3 x 1600 rows, written one time slice at a time
+        args = ["diffuse", "--assemble", "2d:40,40,1,1", "--s", "0.75",
+                "--ic", "sine:2", "--times", "0,0.001,0.01"]
+        assert cli.main(args) == 0
+        text = capsys.readouterr().out
+        out = tmp_path / "d.csv"
+        assert cli.main([*args, "--out", str(out)]) == 0
+        assert out.read_text() == text
+        lines = text.split("\n")
+        assert lines[0] == "t,node,value,norm" and lines[-1] == ""
+        assert [int(line.split(",")[1]) for line in lines[1:-1]] == list(range(1600)) * 3
+
 
 class TestReproducibility:
     def test_bit_identical_reruns(self, tmp_path):
