@@ -250,6 +250,8 @@ def _matrix_rows(m):
 
 
 def _cmd_matpow(args):
+    if not 0.0 < args.s <= 2.0:
+        raise ValueError(f"order must lie in (0, 2], got {args.s!r}")
     # a user matrix needs a dense eigh; an assembled stencil runs through the DST-I
     if args.matrix:
         op = discrete.sym_eigendecompose(discrete.load_matrix_csv(args.matrix))

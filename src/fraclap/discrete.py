@@ -14,9 +14,10 @@ Two decompositions share one interface (``n``, ``eigenvalues``,
   from ``sym_eigendecompose`` (``numpy.linalg.eigh``, O(n^3)).
 - ``DirichletStencil`` is the uniform-grid Dirichlet stencil of
   ``assemble_laplacian_1d/2d`` without the matrix.  The orthonormal DST-I
-  diagonalises it, so moving to and from modes is one ``scipy.fft.dstn``
-  (O(n log n)) and the eigenvalues are closed-form.  ``dense()`` gives the
-  same basis as an ``EigenDecomposition`` for ``matrix_fractional_power``.
+  diagonalises it, so moving to and from modes is one ``numpy.fft.rfft``
+  of an odd extension per axis (O(n log n)) and the eigenvalues are
+  closed-form.  ``dense()`` gives the same basis as an
+  ``EigenDecomposition`` for ``matrix_fractional_power``.
 """
 
 from __future__ import annotations
@@ -143,10 +144,15 @@ class DirichletStencil:
         return functools.reduce(np.add.outer, axes).ravel()
 
     def to_modes(self, p):
-        # imported on first use: scipy.fft costs about 0.2 s and 25 MB to
-        # import, which the routes that never build a stencil should not pay
-        from scipy.fft import dstn
-        return dstn(np.reshape(p, self.shape), type=1, norm="ortho").ravel()
+        c = np.reshape(np.asarray(p, float), self.shape)
+        for axis, n in enumerate(self.shape):
+            # the sine coefficients of the odd extension (0, c, 0, -reversed c)
+            # along the axis are the imaginary part of its real FFT
+            zero = np.zeros_like(c.take([0], axis))
+            odd = np.concatenate([zero, c, zero, -np.flip(c, axis)], axis=axis)
+            sines = np.fft.rfft(odd, axis=axis).imag.take(np.arange(1, n + 1), axis)
+            c = sines * -math.sqrt(0.5 / (n + 1))
+        return c.ravel()
 
     from_modes = to_modes
 

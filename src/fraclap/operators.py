@@ -116,8 +116,9 @@ def fraclap_new(req: FracLapRequest, x) -> float:
 def fraclap_restated(req: FracLapRequest, x) -> float:
     """-Lap of the order-(2-s) potential by the central second difference.
 
-    The step is tau = min(dist/2, 1e-3 * diameter), so the difference cancels
-    7-8 digits and the value carries about 1e-8 relative round-off.
+    The step is tau = min(dist/2, 1e-3 * diameter).  The difference's O(tau^2)
+    truncation, about 1e-6 relative on a smooth bump, is the value's main
+    error; the 7-8 digits it cancels add only about 1e-8 of round-off.
     """
     dist = req.check_margin(x)
     grid, d = req.grid, req.grid.dim

@@ -12,10 +12,13 @@ a node of the angular rule on the facet, so r = u * |c| and
 
 with jac the |det| of the facet's vertices minus x.  The radial integral
 carries the weight u^beta, beta = d - 1 + p, and the Gauss-Jacobi rule for
-that weight (Golub-Welsch 1969; ``scipy.special.roots_sh_jacobi``)
-integrates it exactly, so f only has to be smooth along each chord.  The
-kernel is folded into the weights, jac * |c|^p * w_u * w_v, and a rule built
-for power p integrates f r^p as a plain weighted sum of f.
+that weight integrates it exactly, so f only has to be smooth along each
+chord.  It is built on numpy alone by Golub-Welsch (Math. Comp. 23, 1969):
+the nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix,
+sharpened by one Newton step on the three-term recurrence, and the weights
+are the Christoffel numbers of the same recurrence.  The kernel is folded
+into the weights, jac * |c|^p * w_u * w_v, and a rule built for power p
+integrates f r^p as a plain weighted sum of f.
 
 One radial rule, cached per (beta, order), serves every fan in both
 dimensions.  Only the facets and the facet rule depend on the dimension;
@@ -52,13 +55,42 @@ def gauss_panel(a, b, order):
     return (0.5 * (a + b) + 0.5 * (b - a) * x).ravel(), (0.5 * (b - a) * w).ravel()
 
 
+def _orthonormal_sums(u, diag, off):
+    """p_n(u) and p_n'(u), both up to one constant factor, and sum_{k<n} p_k(u)^2
+    for the polynomials orthonormal under the Jacobi matrix (``diag``, ``off``), p_0 = 1."""
+    p_prev, p, dp_prev, dp, sq = (np.zeros_like(u), np.ones_like(u), np.zeros_like(u),
+                                  np.zeros_like(u), np.zeros_like(u))
+    for a, b_in, b_out in zip(diag, np.append(0.0, off), np.append(off, 1.0)):
+        sq += p * p
+        p_prev, p, dp_prev, dp = (p, ((u - a) * p - b_in * p_prev) / b_out,
+                                  dp, ((u - a) * dp + p - b_in * dp_prev) / b_out)
+    return p, dp, sq
+
+
 @functools.lru_cache(maxsize=128)
 def _radial_rule(beta, order):
-    """Gauss-Jacobi nodes and weights on (0, 1] for the weight u^beta."""
-    # imported on first use: scipy.special costs about 25 MB, which commands
-    # that build no rule should not pay
-    from scipy.special import roots_sh_jacobi
-    return roots_sh_jacobi(order, beta + 1.0, beta + 1.0)
+    """Read-only Gauss-Jacobi nodes, ascending in (0, 1), and weights for the weight u^beta."""
+    # Jacobi matrix of the polynomials orthonormal for u^beta on (0, 1): the
+    # (alpha, beta) = (0, beta) recurrence moved from (-1, 1), each sum written
+    # as integer + beta so that nothing cancels as beta -> -1.  The recurrence
+    # runs in extended precision where the platform has it: the small nodes'
+    # relative error, and through it the weights', then stays near 1e-16
+    beta = np.longdouble(beta)
+    k = np.arange(1, order, dtype=np.longdouble)
+    s = 2 * k + beta
+    diag = np.concatenate([[(beta + 1) / (beta + 2)], 0.5 + 0.5 * beta * beta / (s * (s + 2))])
+    off = k * (k + beta) / (s * np.sqrt((s + 1) * ((2 * k - 1) + beta)))
+    jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    u = np.linalg.eigvalsh(jacobi.astype(float)).astype(np.longdouble)
+    p, dp, _ = _orthonormal_sums(u, diag, off)
+    u = u - p / dp  # one Newton step: eigvalsh leaves about 1e-16 absolute error
+    # Christoffel numbers 1 / sum_k p_k^2: the eigenvectors' first components
+    # squared give the same weights, but only to an absolute accuracy
+    w = 1 / _orthonormal_sums(u, diag, off)[2]
+    w *= 1 / ((beta + 1) * w.sum())  # the weight's integral, 1/(beta+1), exactly
+    u, w = u.astype(float), w.astype(float)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
 @dataclass
@@ -132,8 +164,8 @@ def graded_quadrature_rule(domain, singular_point, power=0.0, radial_order=DEFAU
 
     ``domain`` is a Grid1D/Grid2D or a raw bounds tuple: (a, b) in 1D,
     (a1, b1, a2, b2) in 2D.  ``power`` must exceed -d for the kernel to be
-    integrable (scipy rejects the Jacobi weight otherwise); the default 0
-    gives a plain volume rule.
+    integrable, and a ``ValueError`` says so otherwise; the default 0 gives
+    a plain volume rule.
     """
     if radial_order < 1:
         raise ValueError(f"radial order must be >= 1, got {radial_order!r}")
@@ -142,6 +174,8 @@ def graded_quadrature_rule(domain, singular_point, power=0.0, radial_order=DEFAU
     bounds = np.asarray(getattr(domain, "bounds", domain), float)
     lo, hi = bounds[0::2], bounds[1::2]
     d = len(lo)
+    if not power > -d:  # written so that NaN fails too
+        raise ValueError(f"r^power is not integrable in {d}D unless power > -{d}, got {power!r}")
     x = np.asarray(singular_point, float).reshape(d)
     if not np.all((lo <= x) & (x <= hi)):  # written so that NaN fails too
         raise ValueError(f"singular point {x.tolist()} outside the domain {bounds.tolist()}")

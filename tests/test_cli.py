@@ -177,6 +177,18 @@ class TestMatpow:
         assert vals[0] == pytest.approx(1.0 / h2, rel=1e-12)
         assert vals[3] == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.parametrize("mode", [[], ["--check", "spectral"], ["--check", "semigroup"],
+                                      ["--apply", "unread.csv"]],
+                             ids=["power", "spectral", "semigroup", "apply"])
+    @pytest.mark.parametrize("s", ["3", "0"])
+    def test_order_outside_range_is_two_in_every_mode(self, capsys, mode, s):
+        # checked before any mode runs, so the vector file is never opened
+        code = cli.main(["matpow", "--assemble", "1d:6,1", "--s", s, *mode])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "(0, 2]" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("spec, K", [
         ("1d:30,1", discrete.assemble_laplacian_1d(30, 1.0)),
         ("2d:7,5,1,2.5", discrete.assemble_laplacian_2d(7, 5, 1.0, 2.5)),

@@ -231,6 +231,18 @@ class TestDirichletStencil:
         assert _gap(got, matrix_fractional_power(ref, alpha)) <= 1e-12
 
 
+@pytest.mark.parametrize("shape", [(2,), (40,), (7, 9), (40, 40)])
+def test_transform_is_the_orthonormal_dst1(shape):
+    # the numpy odd-extension FFT against scipy's DST-I, imported only here
+    from scipy.fft import dstn
+    stencil = DirichletStencil(shape, (1.0,) * len(shape))
+    p = np.random.default_rng(len(shape)).standard_normal(stencil.n)
+    want = dstn(p.reshape(shape), type=1, norm="ortho").ravel()
+    got = stencil.to_modes(p)
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+    assert np.linalg.norm(stencil.from_modes(got) - p) <= 1e-15 * np.linalg.norm(p)
+
+
 class TestDirichletStencilValidation:
     @pytest.mark.parametrize("shape, lengths, match", [
         ((1,), (1.0,), "at least 2 interior nodes"),

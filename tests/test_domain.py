@@ -234,23 +234,44 @@ class TestSampledField:
         np.testing.assert_allclose(FieldAdapter(grid, values).value(pts), ref(pts),
                                    rtol=0, atol=4e-15)
 
-    def test_sampled_2d_evaluate_does_not_import_scipy_interpolate(self):
-        code = textwrap.dedent("""
+    def test_run_time_paths_do_not_import_scipy(self, tmp_path):
+        # every route in both dimensions, on analytic and sampled fields, the
+        # potential, and the diffuse and matpow commands run on numpy alone
+        code = textwrap.dedent(f"""
             import sys
             import numpy as np
-            from fraclap import FracLapRequest, evaluate, make_rectangle_grid
-            grid = make_rectangle_grid(0.0, 1.0, 0.0, 1.0, 9, 9)
-            gx, gy = np.meshgrid(grid.x_nodes, grid.y_nodes, indexing="ij")
-            req = FracLapRequest(grid=grid, phi=gx * gy, s=0.75, eval_points=[[0.5, 0.5]])
-            evaluate(req)
-            print("scipy.interpolate" in sys.modules)
+            from fraclap import cli
+            from fraclap.domain import (BoundaryData, TestFunction, boundary_quadrature,
+                                        make_interval_grid, make_rectangle_grid)
+            from fraclap.operators import Definition, FracLapRequest, evaluate
+            from fraclap.riesz import PotentialRequest, riesz_potential_field
+            for grid, x in ((make_interval_grid(0.0, 1.0, 11), [0.4]),
+                            (make_rectangle_grid(0.0, 1.0, 0.0, 1.0, 9, 9), [[0.4, 0.55]])):
+                phi = TestFunction.gaussian_bump([0.5] * grid.dim, 0.2)
+                bd = BoundaryData.from_function(boundary_quadrature(grid), phi)
+                mesh = np.meshgrid(*grid.axes, indexing="ij")
+                for field in (phi, phi.value(np.stack(mesh, axis=-1)).reshape(mesh[0].shape)):
+                    for dfn in Definition:
+                        evaluate(FracLapRequest(grid=grid, phi=field, s=0.75, eval_points=x,
+                                                definition=dfn, boundary=bd))
+                    riesz_potential_field(PotentialRequest(grid=grid, phi=field, sigma=1.25,
+                                                           eval_points=x))
+            np.savetxt({str(tmp_path / "v.csv")!r}, np.ones(12))
+            for argv in (["diffuse", "--assemble", "2d:4,3,1,1", "--s", "0.75", "--ic", "sine:1",
+                          "--times", "0,0.1"],
+                         ["matpow", "--assemble", "1d:12,1", "--s", "0.75",
+                          "--apply", {str(tmp_path / "v.csv")!r}],
+                         ["matpow", "--assemble", "2d:4,3,1,1", "--s", "0.75",
+                          "--check", "semigroup"]):
+                assert cli.main(argv) == 0
+            print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
         """)
         src = os.path.dirname(os.path.dirname(fraclap.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                            env={**os.environ, "PYTHONPATH": path})
         assert r.returncode == 0, r.stderr
-        assert r.stdout.strip() == "False"
+        assert r.stdout.strip().splitlines()[-1] == "[]"
 
 
 class TestBoundaryData:

@@ -13,7 +13,7 @@ from fraclap.errors import (GammaPole, MissingBoundaryData)
 from fraclap.operators import (Definition, FracLapRequest, evaluate,
                                fraclap_augmented, fraclap_hypersingular,
                                fraclap_new, fraclap_restated, surface_integral)
-from fraclap.riesz import PotentialRequest, riesz_potential_point
+from fraclap.riesz import PotentialRequest, RuleParams, riesz_potential_point
 from fraclap.special import ConstantMode
 
 
@@ -105,6 +105,28 @@ class TestNarrowFeatureAwayFromPoint:
         expect = _c(1, sigma) * self._oracle(self.phi._value, sigma - 1.0)
         got = riesz_potential_point(PotentialRequest(grid=self.grid, phi=self.phi, sigma=sigma), self.x)
         assert got == pytest.approx(expect, rel=1e-10)
+
+
+class TestNarrowFeatureAwayFromPoint2D:
+    """The same in 2D: a bump of width 0.05 at (0.6, 0.55) seen from (0.3, 0.4),
+    against a rule four times finer both radially and along the edges."""
+
+    grid = make_rectangle_grid(0.0, 1.0, 0.0, 1.0, 41, 41)
+    phi = TestFunction.gaussian_bump([0.6, 0.55], 0.05)
+    x = np.array([0.3, 0.4])
+    fine = RuleParams(radial_order=128, gauss_order=32)
+
+    @pytest.mark.parametrize("s", [0.75, 1.5])
+    def test_new_route(self, s):
+        got = fraclap_new(_req(self.grid, self.phi, s), self.x)
+        want = fraclap_new(_req(self.grid, self.phi, s, rule=self.fine), self.x)
+        assert got == pytest.approx(want, rel=1e-7)
+
+    def test_potential(self):
+        got, want = (riesz_potential_point(PotentialRequest(grid=self.grid, phi=self.phi,
+                                                            sigma=0.5, rule=rule), self.x)
+                     for rule in (RuleParams(), self.fine))
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 class TestRestatedForm:

@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fraclap.quadrature import gauss_panel, graded_quadrature_rule
+from fraclap.quadrature import _radial_rule, gauss_panel, graded_quadrature_rule
 
 
 def _polar_square_oracle(rect, xs, alpha):
@@ -189,6 +189,36 @@ class TestGradedRuleFans:
         assert rule.integrate_kernel() == pytest.approx(expect, rel=1e-7)
 
 
+def _monomial_error(beta, n):
+    """Worst relative error of the radial rule on u^k, k < 2n, against 1/(k+beta+1)."""
+    u, w = _radial_rule(beta, n)
+    k = np.arange(2 * n)
+    return np.max(np.abs((w * u ** k[:, None]).sum(axis=1) * (k + beta + 1.0) - 1.0))
+
+
+class TestRadialRule:
+    """The Gauss-Jacobi rule for the weight u^beta on (0, 1)."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(n=st.integers(1, 64), beta=st.floats(-1.0, 2.0, exclude_min=True))
+    @example(n=64, beta=-1.0 + 2.0 ** -53)
+    @example(n=62, beta=0.05957986377661051)  # 1.3e-13 off without the Newton step
+    def test_exact_on_monomials(self, n, beta):
+        u, w = _radial_rule(beta, n)
+        assert _monomial_error(beta, n) <= 1e-13
+        assert 0.0 < u[0] and np.all(np.diff(u) > 0.0) and u[-1] < 1.0
+        assert np.all(w > 0.0)
+        assert not (u.flags.writeable or w.flags.writeable)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-17,
+                        reason="the rule's recurrence runs in double precision here")
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_newton_step_reaches_rounding(self, n):
+        # with the recurrence in extended precision the rule is exact to a few
+        # ulps; the eigenvalues alone leave about 1e-13
+        assert max(_monomial_error(b, n) for b in np.linspace(-1.0, 2.0, 61)[1:]) <= 1e-14
+
+
 class TestValidation:
     def test_singular_point_outside(self):
         with pytest.raises(ValueError):
@@ -210,7 +240,7 @@ class TestValidation:
                                                   ((0.0, 1.0, 0.0, 1.0), [0.5, 0.5], -2.5)],
                              ids=["1d", "2d"])
     def test_non_integrable_power(self, domain, x, power):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not integrable"):
             graded_quadrature_rule(domain, x, power)
 
     def test_bad_gauss_order(self):
