@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, discrete
 from .domain import BoundaryData, TestFunction, boundary_quadrature, make_interval_grid, make_rectangle_grid
-from .errors import FracLapError, GammaPole, MissingBoundaryData, NotPositiveDefinite, NotSymmetric
+from .errors import GammaPole, MissingBoundaryData, NotPositiveDefinite, NotSymmetric
 from .operators import Definition, FracLapRequest, evaluate
 from .quadrature import DEFAULT_GAUSS_ORDER, DEFAULT_RADIAL_ORDER
 from .riesz import PotentialRequest, RuleParams, riesz_potential_field
@@ -38,6 +38,11 @@ _NOTES = [
 
 def _fmt(v):
     return f"{float(v):.17g}"
+
+
+def _coords(p):
+    """A point's CSV fields: one coordinate in 1D, two in 2D."""
+    return ",".join(_fmt(c) for c in np.atleast_1d(p))
 
 
 def _write_output(args, header, rows, extra_params):
@@ -136,10 +141,7 @@ def _cmd_potential(args):
                            mode=ConstantMode.parse(args.constant), rule=_rule(args))
     results = riesz_potential_field(req)
     header = "x,value" if grid.dim == 1 else "x,y,value"
-    rows = []
-    for p, v in results:
-        coords = [p] if grid.dim == 1 else list(p)
-        rows.append(",".join(_fmt(c) for c in coords) + "," + _fmt(v))
+    rows = [_coords(p) + "," + _fmt(v) for p, v in results]
     params = _common_params(args, grid)
     params.update({"sigma": args.sigma, "func": args.func,
                    "points": args.points, "all_interior": args.all_interior})
@@ -176,25 +178,20 @@ def _cmd_fraclap(args):
     rows = []
     if len(defs) == 1:
         header = f"{coord_hdr},value,definition"
-        vals = columns[defs[0].value]
-        for p, v in zip(np.atleast_1d(pts if grid.dim == 1 else [tuple(q) for q in pts]), vals):
-            coords = [p] if grid.dim == 1 else list(p)
-            rows.append(",".join(_fmt(c) for c in coords) + f",{_fmt(v)},{defs[0].value}")
+        rows = [f"{_coords(p)},{_fmt(v)},{defs[0].value}"
+                for p, v in zip(pts, columns[defs[0].value])]
     else:
         names = [d.value for d in defs]
         pair_cols = [f"reldiff_{a}_{b}" for i, a in enumerate(names) for b in names[i + 1:]]
         header = ",".join([coord_hdr] + names + pair_cols)
-        for i in range(len(pts)):
-            p = pts[i]
-            coords = [p] if grid.dim == 1 else list(p)
+        for i, p in enumerate(pts):
             vals = [columns[n][i] for n in names]
             diffs = []
             for j, a in enumerate(names):
                 for b in names[j + 1:]:
                     denom = max(abs(columns[a][i]), abs(columns[b][i]), 1e-300)
                     diffs.append(abs(columns[a][i] - columns[b][i]) / denom)
-            rows.append(",".join(_fmt(c) for c in coords)
-                        + "," + ",".join(_fmt(v) for v in vals)
+            rows.append(_coords(p) + "," + ",".join(_fmt(v) for v in vals)
                         + ("," + ",".join(_fmt(v) for v in diffs) if diffs else ""))
     params = _common_params(args, grid)
     params.update({"s": args.s, "func": args.func, "definitions": [d.value for d in defs],
@@ -410,12 +407,9 @@ def main(argv=None):
     except _NUMERICAL_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except (MissingBoundaryData, ValueError) as exc:
+    except ValueError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except FracLapError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

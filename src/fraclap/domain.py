@@ -1,12 +1,18 @@
-"""Bounded domains (interval, rectangle), analytic test fields, and boundary data.
+"""Bounded domains (interval, rectangle), test fields, and boundary data.
 
 Both grids share one set of methods written from ``bounds`` and ``axes``:
 ``(nodes,)`` or ``(x_nodes, y_nodes)``.  The boundary quadrature takes its
 facets and facet rule from :mod:`fraclap.quadrature`, as the Duffy fans do.
+
+A field is a ``TestFunction``, analytic or ``TestFunction.sampled``.  Inside
+the package points are (N, d) in both dimensions; 1D scalars and (N,) arrays
+appear only at the public edges (``TestFunction``'s methods, ``interior_nodes``
+and the points ``evaluate`` and ``riesz_potential_field`` return).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -34,6 +40,11 @@ MARGIN_CELLS = 2   # interior margin, in cells, of evaluation points and interio
 def _product_points(axes):
     """The tensor product of per-axis nodes as (N, d) points, the last axis fastest."""
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+
+
+def _public_points(pts):
+    """(N, d) points in the public layout: (N,) in 1D, unchanged in 2D."""
+    return pts[:, 0] if pts.shape[1] == 1 else pts
 
 
 class _Box:
@@ -69,7 +80,7 @@ class _Box:
         delta = margin_cells * self.spacing
         kept = [ax[(ax - lo >= delta - 1e-14) & (hi - ax >= delta - 1e-14)]
                 for lo, hi, ax in self._sides()]
-        return kept[0] if self.dim == 1 else _product_points(kept)
+        return _public_points(_product_points(kept))
 
 
 @dataclass(frozen=True)
@@ -134,10 +145,9 @@ def make_rectangle_grid(a1, b1, a2, b2, nx, ny) -> Grid2D:
 class BoundaryQuadrature:
     """Surface rule: points, unit outward normals, weights."""
 
-    points: np.ndarray   # (M,) in 1D, (M, 2) in 2D
-    normals: np.ndarray  # (M,) or (M, 2)
+    points: np.ndarray   # (M, d)
+    normals: np.ndarray  # (M, d)
     weights: np.ndarray  # (M,)
-    dim: int
 
     def __len__(self):
         return len(self.weights)
@@ -156,12 +166,9 @@ def boundary_quadrature(grid, gauss_order=DEFAULT_GAUSS_ORDER) -> BoundaryQuadra
     bary, w = facet_rule(grid.dim, max(len(ax) for ax in grid.axes) - 1, gauss_order)
     # the facet normal to one axis spans the box's sides along the others
     size = np.prod(np.where(normals == 0.0, hi - lo, 1.0), axis=1)
-    pts = (bary @ verts).reshape(-1, grid.dim)
-    nrm = np.repeat(normals, len(w), axis=0)
-    if grid.dim == 1:
-        pts, nrm = pts[:, 0], nrm[:, 0]
-    return BoundaryQuadrature(points=pts, normals=nrm, weights=(size[:, None] * w).ravel(),
-                              dim=grid.dim)
+    return BoundaryQuadrature(points=(bary @ verts).reshape(-1, grid.dim),
+                              normals=np.repeat(normals, len(w), axis=0),
+                              weights=(size[:, None] * w).ravel())
 
 
 def _as_points(x, dim):
@@ -177,10 +184,12 @@ def _as_points(x, dim):
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Analytic scalar field with exact gradient, Laplacian, and Hessian.
+    """Scalar field with gradient, Laplacian and Hessian.
 
-    All evaluators accept scalars / (N,) arrays in 1D and (2,) / (N, 2)
-    arrays in 2D, returning matching shapes.
+    The analytic factories give exact derivatives; ``sampled`` interpolates
+    nodal samples.  All evaluators accept scalars / (N,) arrays in 1D and
+    (2,) / (N, 2) arrays in 2D, returning matching shapes; the callables
+    behind them take (N, d) points.
     """
 
     kind: str
@@ -216,11 +225,8 @@ class TestFunction:
     def normal_derivative(self, x, normal):
         pts, scalar = _as_points(x, self.dim)
         g = self._gradient(pts)
-        n = np.asarray(normal, float)
-        if self.dim == 1:
-            out = g.reshape(-1) * n.reshape(-1)
-        else:
-            out = np.einsum("ij,ij->i", g, np.broadcast_to(n.reshape(-1, 2), g.shape))
+        n = np.asarray(normal, float).reshape(-1, self.dim)
+        out = np.einsum("ij,ij->i", g, np.broadcast_to(n, g.shape))
         return float(out[0]) if scalar else out
 
     # ---- factories -------------------------------------------------------
@@ -308,105 +314,105 @@ class TestFunction:
             _laplacian=lambda p: -np.sum(om ** 2) * val(p),
             _hessian=lambda p: derivative(p, eye[:, None] + eye[None, :]).transpose(2, 0, 1))
 
+    @staticmethod
+    def sampled(grid, values):
+        """Nodal samples on ``grid``, interpolated piecewise linearly (1D) or bilinearly (2D).
+
+        The Laplacian is the interpolated second-order difference Laplacian of
+        the samples, built on first use.  The gradient is a central difference
+        of the interpolant.  The Hessian is the Laplacian in 1D and a
+        nine-point difference of the interpolant, with a fixed step, in 2D.
+        """
+        samples = np.asarray(values, float)
+        shape = tuple(len(ax) for ax in grid.axes)
+        if samples.shape != shape:
+            raise ValueError(f"samples must have shape {shape}, got {samples.shape}")
+        dim, val = grid.dim, _interpolant(grid, samples)
+        lap_interpolant = functools.cache(
+            lambda: _interpolant(grid, _discrete_laplacian(grid, samples)))
+        scale = max(1.0, grid.diameter)
+
+        def lap(p):
+            return lap_interpolant()(p)
+
+        def grad(p):
+            h = 1e-5 * scale
+            return np.column_stack([(val(p + e) - val(p - e)) / (2 * h) for e in h * np.eye(dim)])
+
+        def hess(p):
+            if dim == 1:
+                return lap(p).reshape(-1, 1, 1)
+            h = 2e-4 * scale
+
+            def f(i, j):
+                return val(p + h * np.array([i, j], float))
+
+            f0 = f(0, 0)
+            dxx = (f(1, 0) - 2 * f0 + f(-1, 0)) / h ** 2
+            dyy = (f(0, 1) - 2 * f0 + f(0, -1)) / h ** 2
+            dxy = (f(1, 1) - f(1, -1) - f(-1, 1) + f(-1, -1)) / (4 * h ** 2)
+            return np.moveaxis(np.array([[dxx, dxy], [dxy, dyy]]), -1, 0)
+
+        return TestFunction(kind="sampled:" + "x".join(map(str, shape)), dim=dim,
+                            _value=val, _gradient=grad, _laplacian=lap, _hessian=hess)
+
+
+def _interpolant(grid, values):
+    """Piecewise-linear (1D) or bilinear (2D) interpolant of nodal values, of (N, d) points."""
+    if grid.dim == 1:
+        return lambda pts: np.interp(pts[:, 0], grid.nodes, values)
+
+    def bilinear(pts):
+        # cell index clipped to the grid, fraction not: points outside
+        # extrapolate linearly from the boundary cell
+        cells = []
+        for k, ax in enumerate(grid.axes):
+            i = np.clip(np.searchsorted(ax, pts[:, k]) - 1, 0, len(ax) - 2)
+            cells.append((i, (pts[:, k] - ax[i]) / (ax[i + 1] - ax[i])))
+        (i, tx), (j, ty) = cells
+        return ((1.0 - tx) * ((1.0 - ty) * values[i, j] + ty * values[i, j + 1])
+                + tx * ((1.0 - ty) * values[i + 1, j] + ty * values[i + 1, j + 1]))
+    return bilinear
+
+
+def _discrete_laplacian(grid, v):
+    """Second-order FD Laplacian of nodal values ``v``, edges copied from neighbors."""
+    lap = np.zeros_like(v)
+    inner = (slice(1, -1),) * grid.dim
+    for k, (lo, hi, ax) in enumerate(grid._sides()):
+        ahead, behind = (inner[:k] + (sl,) + inner[k + 1:]
+                         for sl in (slice(2, None), slice(None, -2)))
+        lap[inner] += (v[ahead] - 2.0 * v[inner] + v[behind]) / ((hi - lo) / (len(ax) - 1)) ** 2
+    for k in range(grid.dim):
+        edge = (slice(None),) * k
+        lap[edge + (0,)], lap[edge + (-1,)] = lap[edge + (1,)], lap[edge + (-2,)]
+    return lap
+
+
+def as_field(grid, phi):
+    """``phi`` as a TestFunction: itself, or ``TestFunction.sampled(grid, phi)`` for samples."""
+    return phi if isinstance(phi, TestFunction) else TestFunction.sampled(grid, phi)
+
 
 class FieldAdapter:
-    """Uniform access to phi, an analytic TestFunction or nodal samples.
+    """A route's view of a field, made for each call: ``value`` and ``laplacian``
+    of (N, d) points, ``value_at``, ``gradient_at`` and ``hessian_at`` of one point.
 
-    ``value`` and ``laplacian`` take (N, dim) points.  Samples are
-    interpolated piecewise linearly (1D) or bilinearly (2D); their Laplacian
-    is the interpolated second-order difference Laplacian, built on demand.
+    ``phi`` is a TestFunction or nodal samples of ``grid`` (see ``as_field``).
     """
 
     def __init__(self, grid, phi):
-        self.grid = grid
-        self.dim = grid.dim
-        self.analytic = isinstance(phi, TestFunction)
-        if self.analytic:
-            self.tf = phi
-            return
-        self.samples = np.asarray(phi, float)
-        shape = tuple(len(ax) for ax in grid.axes)
-        if self.samples.shape != shape:
-            raise ValueError(f"samples must have shape {shape}, got {self.samples.shape}")
-        self._value = self._interpolant(self.samples)
+        field = as_field(grid, phi)
+        self.dim = field.dim
+        self.value, self.laplacian = field._value, field._laplacian
+        self.gradient_at, self.hessian_at = self._at(field._gradient), self._at(field._hessian)
 
-    def _interpolant(self, values):
-        grid = self.grid
-        if self.dim == 1:
-            return lambda pts: np.interp(pts[:, 0], grid.nodes, values)
-
-        def bilinear(pts):
-            # cell index clipped to the grid, fraction not: points outside
-            # extrapolate linearly from the boundary cell
-            cells = []
-            for k, ax in enumerate(grid.axes):
-                i = np.clip(np.searchsorted(ax, pts[:, k]) - 1, 0, len(ax) - 2)
-                cells.append((i, (pts[:, k] - ax[i]) / (ax[i + 1] - ax[i])))
-            (i, tx), (j, ty) = cells
-            return ((1.0 - tx) * ((1.0 - ty) * values[i, j] + ty * values[i, j + 1])
-                    + tx * ((1.0 - ty) * values[i + 1, j] + ty * values[i + 1, j + 1]))
-        return bilinear
-
-    def _discrete_laplacian(self):
-        """Second-order FD Laplacian of the samples, edges copied from neighbors."""
-        v = self.samples
-        lap = np.zeros_like(v)
-        inner = (slice(1, -1),) * self.dim
-        for k, (lo, hi, ax) in enumerate(self.grid._sides()):
-            ahead, behind = (inner[:k] + (sl,) + inner[k + 1:]
-                             for sl in (slice(2, None), slice(None, -2)))
-            lap[inner] += (v[ahead] - 2.0 * v[inner] + v[behind]) / ((hi - lo) / (len(ax) - 1)) ** 2
-        for k in range(self.dim):
-            edge = (slice(None),) * k
-            lap[edge + (0,)], lap[edge + (-1,)] = lap[edge + (1,)], lap[edge + (-2,)]
-        return lap
-
-    def value(self, pts):
-        if self.analytic:
-            return self.tf._value(pts)
-        return self._value(pts)
-
-    def laplacian(self, pts):
-        if self.analytic:
-            return self.tf._laplacian(pts)
-        return self._interpolant(self._discrete_laplacian())(pts)
+    def _at(self, fn):
+        """``fn`` of (N, d) points as a function of one point."""
+        return lambda x: fn(np.asarray(x, float).reshape(1, self.dim))[0]
 
     def value_at(self, x):
         return float(self.value(np.asarray(x, float).reshape(1, self.dim))[0])
-
-    def gradient_at(self, x):
-        x = np.asarray(x, float).reshape(self.dim)
-        if self.analytic:
-            return self.tf.gradient(x)
-        h = 1e-5 * max(1.0, self.grid.diameter)
-        g = np.empty(self.dim)
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = h
-            g[i] = (self.value_at(x + e) - self.value_at(x - e)) / (2 * h)
-        return g
-
-    def hessian_at(self, x):
-        """Hessian at one point, (dim, dim).
-
-        In 1D it is the Laplacian, so sampled input gets the interpolated
-        discrete Laplacian; in 2D samples are differenced with a fixed step.
-        """
-        x = np.asarray(x, float).reshape(self.dim)
-        if self.dim == 1:
-            return self.laplacian(x.reshape(1, 1)).reshape(1, 1)
-        if self.analytic:
-            return self.tf.hessian(x)
-        h = 2e-4 * max(1.0, self.grid.diameter)
-
-        def f(i, j):
-            return self.value_at(x + h * np.array([i, j], float))
-
-        f0 = f(0, 0)
-        dxx = (f(1, 0) - 2 * f0 + f(-1, 0)) / h ** 2
-        dyy = (f(0, 1) - 2 * f0 + f(0, -1)) / h ** 2
-        dxy = (f(1, 1) - f(1, -1) - f(-1, 1) + f(-1, -1)) / (4 * h ** 2)
-        return np.array([[dxx, dxy], [dxy, dyy]])
 
 
 @dataclass(frozen=True)
@@ -428,7 +434,7 @@ class BoundaryData:
 
     @classmethod
     def from_function(cls, bq: BoundaryQuadrature, f: TestFunction) -> "BoundaryData":
-        """Exact traces of an analytic field on every quadrature point."""
+        """Traces of ``f`` on every quadrature point: its value and outward normal derivative."""
         return cls(quadrature=bq, dirichlet=np.asarray(f.value(bq.points), float),
                    neumann=np.asarray(f.normal_derivative(bq.points, bq.normals), float))
 

@@ -23,11 +23,10 @@ __all__ = ["volume_quadrature", "green_residual"]
 
 
 def volume_quadrature(grid, gauss_order=DEFAULT_GAUSS_ORDER):
-    """Tensor product of per-axis, per-cell Gauss rules; points (N,) in 1D, (N, 2) in 2D."""
+    """Tensor product of per-axis, per-cell Gauss rules: (N, d) points and (N,) weights."""
     rules = [gauss_panel(ax[:-1], ax[1:], gauss_order) for ax in grid.axes]
-    pts = _product_points([p for p, _ in rules])
-    wts = functools.reduce(np.multiply.outer, [w for _, w in rules]).ravel()
-    return (pts[:, 0] if grid.dim == 1 else pts), wts
+    return (_product_points([p for p, _ in rules]),
+            functools.reduce(np.multiply.outer, [w for _, w in rules]).ravel())
 
 
 def green_residual(grid, phi, v, gauss_order=DEFAULT_GAUSS_ORDER) -> float:

@@ -30,15 +30,15 @@ same kernel as the ``new`` route, on the same Gauss-Jacobi rule (beta = 1-s).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .domain import MARGIN_CELLS, BoundaryData, FieldAdapter, boundary_quadrature
+from .domain import MARGIN_CELLS, BoundaryData, FieldAdapter, as_field, boundary_quadrature
 from .errors import MissingBoundaryData
-from .riesz import (PotentialRequest, RuleParams, _eval_points, _nodes_2d,
-                    riesz_potential_point)
+from .riesz import PotentialRequest, RuleParams, _eval_points, riesz_potential_point
 from .special import ConstantMode, FractionalOrder, h_constant, riesz_constant
 
 __all__ = ["Definition", "FracLapRequest", "fraclap_restated", "fraclap_hypersingular",
@@ -90,8 +90,13 @@ class FracLapRequest:
                 f"(distance {dist:.3g} < delta {delta:.3g})")
         return dist
 
+    @functools.cached_property
+    def field(self):
+        """``phi`` as a TestFunction, converted on first use."""
+        return as_field(self.grid, self.phi)
+
     def fld(self):
-        return FieldAdapter(self.grid, self.phi)
+        return FieldAdapter(self.grid, self.field)
 
     def bq(self):
         if self.boundary is not None:
@@ -107,7 +112,7 @@ def fraclap_new(req: FracLapRequest, x) -> float:
     d, s = req.grid.dim, req.s
     c = riesz_constant(d, 2.0 - s, req.mode)
     rule = req.rule.build(req.grid, x, -(d - 2.0 + s))
-    return -c * rule.integrate_kernel(req.fld().laplacian(_nodes_2d(rule)))
+    return -c * rule.integrate_kernel(req.fld().laplacian(rule.nodes))
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +128,7 @@ def fraclap_restated(req: FracLapRequest, x) -> float:
     dist = req.check_margin(x)
     grid, d = req.grid, req.grid.dim
     tau = min(dist / 2.0, 1e-3 * grid.diameter)
-    pot = PotentialRequest(grid=grid, phi=req.phi, sigma=2.0 - req.s,
+    pot = PotentialRequest(grid=grid, phi=req.field, sigma=2.0 - req.s,
                            mode=req.mode, rule=req.rule)
     x = np.asarray(x, float).reshape(d)
     acc = -2.0 * d * riesz_potential_point(pot, x)
@@ -137,10 +142,9 @@ def fraclap_restated(req: FracLapRequest, x) -> float:
 # Hadamard finite part of the r^-(d+s) convolution
 
 def _boundary_rays(bq, xi):
-    """Rays from xi to the boundary points, their lengths, and the normals, as (M, d)."""
-    d = len(xi)
-    rv = bq.points.reshape(-1, d) - xi
-    return rv, np.sqrt(np.sum(rv * rv, axis=1)), bq.normals.reshape(-1, d)
+    """Rays from xi to the boundary points, (M, d), and their lengths."""
+    rv = bq.points - xi
+    return rv, np.sqrt(np.sum(rv * rv, axis=1))
 
 
 def _finite_part_volume(req: FracLapRequest, x) -> float:
@@ -150,13 +154,12 @@ def _finite_part_volume(req: FracLapRequest, x) -> float:
     xi = np.asarray(x, float).reshape(d)
     px, gx = fld.value_at(xi), fld.gradient_at(xi)
     # numeric part: two-term Taylor remainder over r^2, against r^-(d-2+s)
-    nodes = _nodes_2d(rule)
-    rem = fld.value(nodes) - px - (nodes - xi) @ gx
+    rem = fld.value(rule.nodes) - px - (rule.nodes - xi) @ gx
     num = rule.integrate_kernel(rem / rule.dist ** 2)
     # subtracted terms: finite parts reduced to boundary fluxes (divergence theorem)
     bq = req.bq()
-    rv, rr, normals = _boundary_rays(bq, xi)
-    w = bq.weights
+    rv, rr = _boundary_rays(bq, xi)
+    w, normals = bq.weights, bq.normals
     fp0 = -(1.0 / s) * float(np.sum(w * rr ** (-(d + s)) * np.einsum("ij,ij->i", rv, normals)))
     fp1 = -(1.0 / (d - 2.0 + s)) * np.sum((w * rr ** (-(d - 2.0 + s)))[:, None] * normals, axis=0)
     return -(num + px * fp0 + gx @ fp1) / h_constant(d, s, req.mode)
@@ -182,8 +185,8 @@ def surface_integral(req: FracLapRequest, x, as_printed=False) -> float:
     bd = req.boundary.require_full()
     bq = bd.quadrature
     d, s = req.grid.dim, req.s
-    rv, rr, normals = _boundary_rays(bq, np.asarray(x, float).reshape(d))
-    rhat_n = np.einsum("ij,ij->i", rv / rr[:, None], normals)
+    rv, rr = _boundary_rays(bq, np.asarray(x, float).reshape(d))
+    rhat_n = np.einsum("ij,ij->i", rv / rr[:, None], bq.normals)
     if as_printed:
         beta = d + s
         pref = 1.0 / h_constant(d, s, req.mode)

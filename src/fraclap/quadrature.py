@@ -98,12 +98,10 @@ class GradedPanels:
     """Quadrature rule for f(xi) * r^p, r the distance to one singular point
     and p the kernel power the rule was built for.
 
-    ``nodes`` are positions (shape (N,) in 1D, (N, 2) in 2D), ``weights``
-    carry the kernel r^p, and ``dist`` is the exact distance of each node
-    to the singular point.
+    ``nodes`` are (N, d) positions, ``weights`` carry the kernel r^p, and
+    ``dist`` is the exact distance of each node to the singular point.
     """
 
-    dim: int
     nodes: np.ndarray
     weights: np.ndarray
     dist: np.ndarray
@@ -153,9 +151,7 @@ def _graded_rule(lo, hi, x, power, radial_order, order):
     pos = x + u[None, :, None, None] * chords[:, None]     # (F, nu, nv, d)
     w = jac[:, None, None] * wu[:, None] * (wv * clen ** power)[:, None, :]
     r = u[:, None] * clen[:, None, :]
-    pos = pos.reshape(-1, d)
-    return GradedPanels(dim=d, nodes=pos if d > 1 else pos[:, 0],
-                        weights=w.ravel(), dist=r.ravel(), fan_jac=jac)
+    return GradedPanels(nodes=pos.reshape(-1, d), weights=w.ravel(), dist=r.ravel(), fan_jac=jac)
 
 
 def graded_quadrature_rule(domain, singular_point, power=0.0, radial_order=DEFAULT_RADIAL_ORDER,

@@ -6,11 +6,12 @@ with r = |x - xi| and c the normalization from :mod:`fraclap.special`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import FieldAdapter
+from .domain import FieldAdapter, _public_points, as_field
 from .quadrature import (DEFAULT_GAUSS_ORDER, DEFAULT_RADIAL_ORDER, GradedPanels,
                          graded_quadrature_rule)
 from .special import ConstantMode, riesz_constant
@@ -32,11 +33,6 @@ class RuleParams:
                                       gauss_order=self.gauss_order)
 
 
-def _nodes_2d(rule):
-    """Rule nodes as (N, dim) points."""
-    return rule.nodes if rule.dim == 2 else rule.nodes.reshape(-1, 1)
-
-
 @dataclass(frozen=True)
 class PotentialRequest:
     """Everything needed to evaluate the truncated potential of one field."""
@@ -54,17 +50,21 @@ class PotentialRequest:
         # fail fast on gamma poles
         riesz_constant(self.grid.dim, self.sigma, self.mode)
 
+    @functools.cached_property
+    def field(self):
+        """``phi`` as a TestFunction, converted on first use."""
+        return as_field(self.grid, self.phi)
+
     def field_values(self):
         """Callable evaluating phi at (N, dim) points."""
-        return FieldAdapter(self.grid, self.phi).value
+        return FieldAdapter(self.grid, self.field).value
 
 
 def _eval_points(req):
-    """A request's evaluation points: shape (P,) in 1D, (P, 2) in 2D."""
+    """A request's evaluation points in the public layout: (P,) in 1D, (P, 2) in 2D."""
     if req.eval_points is None:
         raise ValueError("request has no evaluation points")
-    pts = np.asarray(req.eval_points, float)
-    return pts.reshape(-1, 2) if req.grid.dim == 2 else pts.reshape(-1)
+    return _public_points(np.asarray(req.eval_points, float).reshape(-1, req.grid.dim))
 
 
 def riesz_potential_point(req: PotentialRequest, x) -> float:
@@ -73,7 +73,7 @@ def riesz_potential_point(req: PotentialRequest, x) -> float:
     d = grid.dim
     c = riesz_constant(d, req.sigma, req.mode)
     rule = req.rule.build(grid, x, req.sigma - d)
-    return c * rule.integrate_kernel(req.field_values()(_nodes_2d(rule)))
+    return c * rule.integrate_kernel(req.field_values()(rule.nodes))
 
 
 def riesz_potential_field(req: PotentialRequest):

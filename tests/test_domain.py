@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 import fraclap
+from fraclap import domain
 from fraclap.domain import (BoundaryData, FieldAdapter, TestFunction, boundary_quadrature,
                             make_interval_grid, make_rectangle_grid)
 from fraclap.errors import MissingBoundaryData
+from fraclap.operators import Definition, FracLapRequest, evaluate
 
 
 class TestGrids:
@@ -69,8 +71,9 @@ class TestGrids:
 class TestBoundaryQuadrature:
     def test_interval_endpoints(self):
         bq = boundary_quadrature(make_interval_grid(0.0, 3.0, 7))
-        np.testing.assert_allclose(bq.points, [0.0, 3.0])
-        np.testing.assert_allclose(bq.normals, [-1.0, 1.0])
+        assert bq.points.shape == bq.normals.shape == (2, 1)
+        np.testing.assert_allclose(bq.points, [[0.0], [3.0]])
+        np.testing.assert_allclose(bq.normals, [[-1.0], [1.0]])
         np.testing.assert_allclose(bq.weights, [1.0, 1.0])
 
     def test_rectangle_perimeter(self):
@@ -233,6 +236,51 @@ class TestSampledField:
                                       bounds_error=False, fill_value=None)
         np.testing.assert_allclose(FieldAdapter(grid, values).value(pts), ref(pts),
                                    rtol=0, atol=4e-15)
+
+    @settings(deadline=None, max_examples=60)
+    @given(dim=st.sampled_from([1, 2]), data=st.data())
+    def test_affine_samples_reproduce_the_field(self, dim, data):
+        # the interpolant of affine samples is the affine field itself, up to round-off
+        lo = np.array([data.draw(st.floats(-2.0, 2.0)) for _ in range(dim)])
+        sides = np.array([data.draw(st.floats(0.1, 3.0)) for _ in range(dim)])
+        sizes = [data.draw(st.integers(3, 40)) for _ in range(dim)]
+        slope = np.array([data.draw(st.floats(-5.0, 5.0)) for _ in range(dim)])
+        offset = data.draw(st.floats(-5.0, 5.0))
+        bounds = np.column_stack([lo, lo + sides]).ravel()
+        grid = (make_interval_grid(*bounds, *sizes) if dim == 1
+                else make_rectangle_grid(*bounds, *sizes))
+        exact = TestFunction.affine(slope, offset)
+        mesh = np.meshgrid(*grid.axes, indexing="ij")
+        f = TestFunction.sampled(grid, exact.value(np.stack(mesh, axis=-1).reshape(-1, dim))
+                                 .reshape(mesh[0].shape))
+        # points off the edges by more than the difference step: np.interp clamps outside
+        frac = np.array([[data.draw(st.floats(0.01, 0.99)) for _ in range(dim)]
+                         for _ in range(8)])
+        pts = lo + frac * sides
+        scale = 1.0 + abs(offset) + np.abs(slope) @ np.maximum(np.abs(lo), np.abs(lo + sides))
+        np.testing.assert_allclose(f.value(pts), exact.value(pts), rtol=0, atol=1e-13 * scale)
+        np.testing.assert_allclose(f.gradient(pts).reshape(-1, dim),
+                                   np.broadcast_to(slope, (len(pts), dim)),
+                                   rtol=0, atol=1e-8 * scale)
+        # a second difference of rounded samples: about eps * scale / spacing^2
+        min_spacing = min(side / (n - 1) for side, n in zip(sides, sizes))
+        np.testing.assert_allclose(f.laplacian(pts), 0.0, atol=1e-14 * scale / min_spacing ** 2)
+
+    def test_new_builds_the_discrete_laplacian_once(self, monkeypatch):
+        # one request converts its samples once, and the field builds its Laplacian
+        # on first use, so the per-point adapters share one build
+        grid = make_rectangle_grid(0.0, 1.0, 0.0, 1.0, 41, 41)
+        mesh = np.meshgrid(*grid.axes, indexing="ij")
+        samples = TestFunction.gaussian_bump([0.5, 0.5], 0.2).value(
+            np.stack(mesh, axis=-1).reshape(-1, 2)).reshape(41, 41)
+        builds = []
+        build = domain._discrete_laplacian
+        monkeypatch.setattr(domain, "_discrete_laplacian",
+                            lambda *args: builds.append(args) or build(*args))
+        req = FracLapRequest(grid=grid, phi=samples, s=0.75, definition=Definition.NEW,
+                             eval_points=[[0.4, 0.55], [0.5, 0.5], [0.3, 0.62]])
+        assert len(evaluate(req)) == 3
+        assert len(builds) == 1
 
     def test_run_time_paths_do_not_import_scipy(self, tmp_path):
         # every route in both dimensions, on analytic and sampled fields, the

@@ -77,7 +77,8 @@ class TestGaussPanel:
 class TestGradedRule1D:
     def test_smooth_integrand(self):
         rule = graded_quadrature_rule((0.0, 1.0), 0.3)
-        val = rule.integrate_kernel(lambda x: x ** 3)
+        assert rule.nodes.shape == (len(rule.weights), 1)
+        val = rule.integrate_kernel(lambda p: p[:, 0] ** 3)
         assert val == pytest.approx(0.25, rel=1e-13)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
@@ -97,7 +98,8 @@ class TestGradedRule1D:
     def test_kernel_with_field_factor(self):
         # integral of x * x^-0.5 over (0,1] = 2/3 (field evaluated at nodes)
         rule = graded_quadrature_rule((0.0, 1.0), 0.0, -0.5)
-        val = rule.integrate_kernel(lambda x: x)
+        assert rule.nodes.shape == (len(rule.weights), 1)
+        val = rule.integrate_kernel(lambda p: p[:, 0])
         assert val == pytest.approx(2.0 / 3.0, rel=1e-10)
 
     def test_order_convergence(self):
@@ -110,7 +112,8 @@ class TestGradedRule1D:
         errs = []
         for order in (2, 4, 8):
             rule = graded_quadrature_rule((0.0, 1.0), x0, -alpha, radial_order=order)
-            errs.append(abs(rule.integrate_kernel(np.cos) - expect))
+            assert rule.nodes.shape == (len(rule.weights), 1)
+            errs.append(abs(rule.integrate_kernel(lambda p: np.cos(p[:, 0])) - expect))
         assert errs[1] < 0.5 * errs[0] or errs[1] < 1e-12
         assert errs[2] < 0.5 * errs[1] or errs[2] < 1e-12
 
@@ -118,7 +121,8 @@ class TestGradedRule1D:
         rule = graded_quadrature_rule((0.0, 1.0), 0.4)
         assert np.all(rule.weights > 0.0)
         assert np.all(rule.dist > 0.0)
-        np.testing.assert_allclose(np.abs(rule.nodes - 0.4), rule.dist,
+        assert rule.nodes.shape == (len(rule.weights), 1)
+        np.testing.assert_allclose(np.abs(rule.nodes[:, 0] - 0.4), rule.dist,
                                    rtol=1e-7, atol=1e-16)
 
     def test_total_weight_is_measure(self):
