@@ -84,7 +84,7 @@ def _parse_func(spec, grid):
         if len(vals) != d + 1:
             raise ValueError(f"affine spec needs {d + 1} values in {d}D "
                              "(gradient components then offset)")
-        return TestFunction.affine(vals[:-1], vals[-1], dim=d)
+        return TestFunction.affine(vals[:-1], vals[-1])
     if name == "quad":
         return TestFunction.quadratic(dim=d)
     if name == "gauss":
@@ -203,7 +203,7 @@ def _cmd_fraclap(args):
 
 
 def _cmd_validate(args):
-    recs = run_suite(args.suite, refinements=args.refinements)
+    recs = run_suite(args.suite)
     width = max(len(r["check"]) for r in recs)
     for r in recs:
         status = "PASS" if r["pass"] else "FAIL"
@@ -373,7 +373,6 @@ def build_parser():
     p = sub.add_parser("validate", help="run the invariant suites")
     p.add_argument("--suite", default="all",
                    choices=["special", "riesz", "fraclap", "greens", "discrete", "all"])
-    p.add_argument("--refinements", type=int, default=3)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_validate)
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotPositiveDefinite, NotSymmetric
-from .special import FractionalOrder
 
 __all__ = [
     "EigenDecomposition",
@@ -193,27 +192,25 @@ def matrix_fractional_power(eig: EigenDecomposition, alpha: float) -> np.ndarray
     return 0.5 * (out + out.T)
 
 
-def apply_fraclap_discrete(eig: EigenDecomposition | DirichletStencil, s,
+def apply_fraclap_discrete(eig: EigenDecomposition | DirichletStencil, s: float,
                            p: np.ndarray) -> np.ndarray:
     """K^(s/2) p through the decomposition, without forming the power matrix."""
-    sv = s.s if isinstance(s, FractionalOrder) else float(s)
-    if not 0.0 < sv <= 2.0:
-        raise ValueError(f"order must lie in (0, 2], got {sv!r}")
+    if not 0.0 < s <= 2.0:
+        raise ValueError(f"order must lie in (0, 2], got {s!r}")
     p = np.asarray(p, float)
     if p.shape != (eig.n,):
         raise ValueError(f"vector length {p.shape} does not match order {eig.n}")
-    return eig.from_modes(eig.eigenvalues ** (sv / 2.0) * eig.to_modes(p))
+    return eig.from_modes(eig.eigenvalues ** (s / 2.0) * eig.to_modes(p))
 
 
-def modal_diffusion_solve(eig: EigenDecomposition | DirichletStencil, s,
+def modal_diffusion_solve(eig: EigenDecomposition | DirichletStencil, s: float,
                           u0: np.ndarray, times) -> list:
     """Solutions of u' = -K^(s/2) u at the requested times.
 
     u(t) = sum_k exp(-lambda_k^(s/2) t) (v_k . u0) v_k.
     """
-    sv = s.s if isinstance(s, FractionalOrder) else float(s)
-    if not 0.0 < sv <= 2.0:
-        raise ValueError(f"diffusion order must lie in (0, 2], got {sv!r}")
+    if not 0.0 < s <= 2.0:
+        raise ValueError(f"diffusion order must lie in (0, 2], got {s!r}")
     u0 = np.asarray(u0, float)
     if u0.shape != (eig.n,):
         raise ValueError(f"initial vector length {u0.shape} does not match order {eig.n}")
@@ -223,7 +220,7 @@ def modal_diffusion_solve(eig: EigenDecomposition | DirichletStencil, s,
     if np.any(np.diff(times) < 0.0):
         raise ValueError("times must be ascending")
     coeffs = eig.to_modes(u0)
-    rates = eig.eigenvalues ** (sv / 2.0)
+    rates = eig.eigenvalues ** (s / 2.0)
     return [eig.from_modes(np.exp(-rates * t) * coeffs) for t in times]
 
 

@@ -4,15 +4,18 @@ Both grids share one set of methods written from ``bounds`` and ``axes``:
 ``(nodes,)`` or ``(x_nodes, y_nodes)``.  The boundary quadrature takes its
 facets and facet rule from :mod:`fraclap.quadrature`, as the Duffy fans do.
 
-A field is a ``TestFunction``, analytic or ``TestFunction.sampled``.  Inside
-the package points are (N, d) in both dimensions; 1D scalars and (N,) arrays
-appear only at the public edges (``TestFunction``'s methods, ``interior_nodes``
-and the points ``evaluate`` and ``riesz_potential_field`` return).
+A field is a ``TestFunction``, analytic or ``TestFunction.sampled``: the
+constant, affine and quadratic fields are one quadratic form, and samples one
+multilinear interpolant, whatever the dimension.  Inside the package points are
+(N, d) in both dimensions; 1D scalars and (N,) arrays appear only at the
+public edges (``TestFunction``'s methods, ``interior_nodes`` and the points
+``evaluate`` and ``riesz_potential_field`` return).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -59,9 +62,14 @@ class _Box:
         return zip(self.bounds[0::2], self.bounds[1::2], self.axes)
 
     @property
+    def steps(self):
+        """The cell width along each axis."""
+        return [(hi - lo) / (len(ax) - 1) for lo, hi, ax in self._sides()]
+
+    @property
     def spacing(self):
         """The widest cell width over the axes."""
-        return max((hi - lo) / (len(ax) - 1) for lo, hi, ax in self._sides())
+        return max(self.steps)
 
     @property
     def diameter(self):
@@ -233,38 +241,18 @@ class TestFunction:
 
     @staticmethod
     def constant(c, dim=1):
-        return TestFunction(
-            kind=f"const:{c}", dim=dim,
-            _value=lambda p: np.full(len(p), float(c)),
-            _gradient=lambda p: np.zeros((len(p), dim)),
-            _laplacian=lambda p: np.zeros(len(p)),
-            _hessian=lambda p: np.zeros((len(p), dim, dim)),
-        )
+        return _quadratic_form(f"const:{c}", np.zeros((dim, dim)), np.zeros(dim), c)
 
     @staticmethod
-    def affine(gradient, offset=0.0, dim=None):
+    def affine(gradient, offset=0.0):
         g = np.atleast_1d(np.asarray(gradient, float))
-        if dim is None:
-            dim = len(g)
-        return TestFunction(
-            kind=f"affine:{','.join(map(str, g))},{offset}", dim=dim,
-            _value=lambda p: p @ g + float(offset),
-            _gradient=lambda p: np.broadcast_to(g, (len(p), dim)).copy(),
-            _laplacian=lambda p: np.zeros(len(p)),
-            _hessian=lambda p: np.zeros((len(p), dim, dim)),
-        )
+        return _quadratic_form(f"affine:{','.join(map(str, g))},{offset}",
+                               np.zeros((len(g), len(g))), g, offset)
 
     @staticmethod
     def quadratic(dim=1):
         """Sum of squared coordinates; Laplacian is 2*dim everywhere."""
-        eye = np.eye(dim)
-        return TestFunction(
-            kind="quad", dim=dim,
-            _value=lambda p: np.sum(p * p, axis=1),
-            _gradient=lambda p: 2.0 * p,
-            _laplacian=lambda p: np.full(len(p), 2.0 * dim),
-            _hessian=lambda p: np.broadcast_to(2.0 * eye, (len(p), dim, dim)).copy(),
-        )
+        return _quadratic_form("quad", np.eye(dim), np.zeros(dim), 0.0)
 
     @staticmethod
     def gaussian_bump(center, width):
@@ -316,77 +304,114 @@ class TestFunction:
 
     @staticmethod
     def sampled(grid, values):
-        """Nodal samples on ``grid``, interpolated piecewise linearly (1D) or bilinearly (2D).
+        """Nodal samples on ``grid`` as a field, on one multilinear interpolant.
 
-        The Laplacian is the interpolated second-order difference Laplacian of
-        the samples, built on first use.  The gradient is a central difference
-        of the interpolant.  The Hessian is the Laplacian in 1D and a
-        nine-point difference of the interpolant, with a fixed step, in 2D.
+        The value is the multilinear interpolant of the samples (linear on an
+        interval, bilinear on a rectangle); outside the grid it extrapolates
+        linearly from the boundary cell.  The Hessian is the interpolant of the
+        samples' central second differences, mixed terms included, and the
+        Laplacian the interpolant of their trace; both are built on first use.
+        The gradient is a central difference of the value interpolant.
         """
         samples = np.asarray(values, float)
         shape = tuple(len(ax) for ax in grid.axes)
         if samples.shape != shape:
             raise ValueError(f"samples must have shape {shape}, got {samples.shape}")
         dim, val = grid.dim, _interpolant(grid, samples)
-        lap_interpolant = functools.cache(
-            lambda: _interpolant(grid, _discrete_laplacian(grid, samples)))
-        scale = max(1.0, grid.diameter)
 
-        def lap(p):
-            return lap_interpolant()(p)
+        @functools.cache
+        def curvature():
+            """The interpolants of the nodal Laplacian and Hessian."""
+            second = _second_differences(grid, samples)
+            return (_interpolant(grid, np.trace(second, axis1=-2, axis2=-1)),
+                    _interpolant(grid, second))
+
+        h = 1e-5 * max(1.0, grid.diameter)
+        shifts = (h * np.concatenate([np.eye(dim), -np.eye(dim)]))[:, None, :]
 
         def grad(p):
-            h = 1e-5 * scale
-            return np.column_stack([(val(p + e) - val(p - e)) / (2 * h) for e in h * np.eye(dim)])
-
-        def hess(p):
-            if dim == 1:
-                return lap(p).reshape(-1, 1, 1)
-            h = 2e-4 * scale
-
-            def f(i, j):
-                return val(p + h * np.array([i, j], float))
-
-            f0 = f(0, 0)
-            dxx = (f(1, 0) - 2 * f0 + f(-1, 0)) / h ** 2
-            dyy = (f(0, 1) - 2 * f0 + f(0, -1)) / h ** 2
-            dxy = (f(1, 1) - f(1, -1) - f(-1, 1) + f(-1, -1)) / (4 * h ** 2)
-            return np.moveaxis(np.array([[dxx, dxy], [dxy, dyy]]), -1, 0)
+            # the 2d shifted copies of the points in one interpolant call
+            f = val((p + shifts).reshape(-1, dim)).reshape(2, dim, len(p))
+            return ((f[0] - f[1]) / (2 * h)).T
 
         return TestFunction(kind="sampled:" + "x".join(map(str, shape)), dim=dim,
-                            _value=val, _gradient=grad, _laplacian=lap, _hessian=hess)
+                            _value=val, _gradient=grad,
+                            _laplacian=lambda p: curvature()[0](p),
+                            _hessian=lambda p: curvature()[1](p))
+
+
+def _quadratic_form(kind, a, g, c):
+    """The field x·a·x + g·x + c of a symmetric (d, d) ``a``: gradient 2ax + g, Hessian 2a."""
+    dim, c, hess = len(g), float(c), 2.0 * a
+    lap = np.trace(hess)
+    return TestFunction(
+        kind=kind, dim=dim,
+        _value=lambda p: np.sum(p * (p @ a), axis=1) + p @ g + c,
+        _gradient=lambda p: p @ hess + g,
+        _laplacian=lambda p: np.full(len(p), lap),
+        _hessian=lambda p: np.broadcast_to(hess, (len(p), dim, dim)).copy(),
+    )
 
 
 def _interpolant(grid, values):
-    """Piecewise-linear (1D) or bilinear (2D) interpolant of nodal values, of (N, d) points."""
-    if grid.dim == 1:
-        return lambda pts: np.interp(pts[:, 0], grid.nodes, values)
+    """Multilinear interpolant of nodal ``values`` at (N, d) points.
 
-    def bilinear(pts):
-        # cell index clipped to the grid, fraction not: points outside
-        # extrapolate linearly from the boundary cell
-        cells = []
-        for k, ax in enumerate(grid.axes):
-            i = np.clip(np.searchsorted(ax, pts[:, k]) - 1, 0, len(ax) - 2)
-            cells.append((i, (pts[:, k] - ax[i]) / (ax[i + 1] - ax[i])))
-        (i, tx), (j, ty) = cells
-        return ((1.0 - tx) * ((1.0 - ty) * values[i, j] + ty * values[i, j + 1])
-                + tx * ((1.0 - ty) * values[i + 1, j] + ty * values[i + 1, j + 1]))
-    return bilinear
+    ``values`` has the grid's shape followed by any trailing axes, which the
+    result keeps: (N, *trailing).  The cell comes from arithmetic on the
+    uniform grid and is clipped to it; the fraction is not, so points outside
+    extrapolate linearly from the boundary cell.  The 2^d corners are
+    interpolated the last axis first.
+    """
+    shape = tuple(len(ax) for ax in grid.axes)
+    trailing = values.shape[len(shape):]
+    flat = values.reshape((-1,) + trailing)
+    strides = [math.prod(shape[k + 1:]) for k in range(len(shape))]
+    corners = np.array([[sum(itertools.compress(strides, bits))]   # the last axis fastest
+                        for bits in itertools.product((0, 1), repeat=len(shape))])
+    # per axis: first node, step, last cell, stride in ``flat``, nodes, cell widths
+    sides = [(ax[0], step, len(ax) - 2, stride, ax, np.diff(ax))
+             for ax, step, stride in zip(grid.axes, grid.steps, strides)]
+    ones = (1,) * len(trailing)
+
+    def interpolate(pts):
+        index, fractions = 0, []
+        for k, (origin, step, top, stride, ax, width) in enumerate(sides):
+            i = np.minimum(np.maximum(((pts[:, k] - origin) / step).astype(np.intp), 0), top)
+            index = index + i * stride
+            fractions.append((pts[:, k] - ax[i]) / width[i])
+        c = flat[corners + index]
+        for t in reversed(fractions):
+            c = c.reshape((-1, 2) + c.shape[1:])
+            t = t.reshape((-1,) + ones)
+            c = (1.0 - t) * c[:, 0] + t * c[:, 1]
+        return c[0]
+    return interpolate
 
 
-def _discrete_laplacian(grid, v):
-    """Second-order FD Laplacian of nodal values ``v``, edges copied from neighbors."""
-    lap = np.zeros_like(v)
-    inner = (slice(1, -1),) * grid.dim
-    for k, (lo, hi, ax) in enumerate(grid._sides()):
-        ahead, behind = (inner[:k] + (sl,) + inner[k + 1:]
-                         for sl in (slice(2, None), slice(None, -2)))
-        lap[inner] += (v[ahead] - 2.0 * v[inner] + v[behind]) / ((hi - lo) / (len(ax) - 1)) ** 2
-    for k in range(grid.dim):
+def _second_differences(grid, v):
+    """Central second differences of nodal values ``v``, mixed terms included.
+
+    Returns the grid's shape followed by (d, d); edge nodes copy their
+    neighbours' values.  The trace is the second-order difference Laplacian.
+    """
+    d, step = grid.dim, grid.steps
+    out = np.zeros(v.shape + (d, d))
+    inner = (slice(1, -1),) * d
+
+    def at(shift):
+        """``v`` at the inner nodes moved by ``shift`` nodes."""
+        return v[tuple(slice(1 + o, n - 1 + o) for o, n in zip(shift, v.shape))]
+
+    eye = np.eye(d, dtype=int)
+    for k, e in enumerate(eye):
+        out[inner + (k, k)] = (at(e) - 2.0 * at(0 * e) + at(-e)) / step[k] ** 2
+        for m, f in enumerate(eye[k + 1:], start=k + 1):
+            out[inner + (k, m)] = out[inner + (m, k)] = (
+                (at(e + f) - at(e - f) - at(f - e) + at(-e - f)) / (4.0 * step[k] * step[m]))
+    for k in range(d):
         edge = (slice(None),) * k
-        lap[edge + (0,)], lap[edge + (-1,)] = lap[edge + (1,)], lap[edge + (-2,)]
-    return lap
+        out[edge + (0,)], out[edge + (-1,)] = out[edge + (1,)], out[edge + (-2,)]
+    return out
 
 
 def as_field(grid, phi):

@@ -71,9 +71,7 @@ class FracLapRequest:
     rule: RuleParams = field(default_factory=RuleParams)
 
     def __post_init__(self):
-        order = self.s if isinstance(self.s, FractionalOrder) else FractionalOrder(self.s)
-        object.__setattr__(self, "s", order.s)
-        order.check_pole(self.grid.dim)
+        FractionalOrder(self.s).check_pole(self.grid.dim)
         if self.definition in (Definition.AUGMENTED, Definition.AUGMENTED_AS_PRINTED):
             if self.boundary is None:
                 raise MissingBoundaryData(

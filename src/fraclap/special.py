@@ -104,17 +104,16 @@ def riesz_constant(d: int, sigma: float, mode: ConstantMode = ConstantMode.PAPER
     return num / den
 
 
-def h_constant(d: int, s, mode: ConstantMode = ConstantMode.PAPER) -> float:
+def h_constant(d: int, s: float, mode: ConstantMode = ConstantMode.PAPER) -> float:
     """The surface-term constant h; satisfies 1/h = c(d, 2-s) (d-2+s) s."""
-    order = s if isinstance(s, FractionalOrder) else FractionalOrder(s)
-    sv = order.s
-    if abs(d - 2.0 + sv) < _POLE_TOL:
-        raise DegenerateExponent((d - 2.0 + sv) / 2.0, f"d-2+s with d={d}, s={sv}")
+    order = FractionalOrder(s)
+    if abs(d - 2.0 + s) < _POLE_TOL:
+        raise DegenerateExponent((d - 2.0 + s) / 2.0, f"d-2+s with d={d}, s={s}")
     order.check_pole(d)
-    num_gamma = gamma_value((2.0 - sv) / 2.0)
-    p = (2.0 - sv) / 2.0 if mode is ConstantMode.PAPER else d / 2.0
-    num = math.pi ** p * 2.0 ** (2.0 - sv) * num_gamma
-    den = (d - 2.0 + sv) * sv * gamma_value((d - 2.0 + sv) / 2.0)
+    num_gamma = gamma_value((2.0 - s) / 2.0)
+    p = (2.0 - s) / 2.0 if mode is ConstantMode.PAPER else d / 2.0
+    num = math.pi ** p * 2.0 ** (2.0 - s) * num_gamma
+    den = (d - 2.0 + s) * s * gamma_value((d - 2.0 + s) / 2.0)
     return num / den
 
 

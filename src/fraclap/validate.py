@@ -31,7 +31,7 @@ def _rec(suite, check, measured, tol):
 
 # ---------------------------------------------------------------------------
 
-def _suite_special(refinements):
+def _suite_special():
     rng = np.random.default_rng(7)
     recs = []
     xs = rng.uniform(0.5, 15.0, size=200)
@@ -80,7 +80,7 @@ def _suite_special(refinements):
 
 # ---------------------------------------------------------------------------
 
-def _suite_riesz(refinements):
+def _suite_riesz():
     recs = []
     grid = make_interval_grid(0.0, 1.0, 21)
     one = TestFunction.constant(1.0)
@@ -125,18 +125,16 @@ def _suite_riesz(refinements):
 
 # ---------------------------------------------------------------------------
 
-def _green_gap(grid, phi, s, x, rule=None):
+def _green_gap(grid, phi, s, x):
     bq = boundary_quadrature(grid)
     bd = BoundaryData.from_function(bq, phi)
-    kw = {} if rule is None else {"rule": rule}
-    req = FracLapRequest(grid=grid, phi=phi, s=s, definition=Definition.AUGMENTED,
-                         boundary=bd, **kw)
+    req = FracLapRequest(grid=grid, phi=phi, s=s, definition=Definition.AUGMENTED, boundary=bd)
     new = fraclap_new(req, x)
     aug = fraclap_augmented(req, x)
     return abs(aug - new) / max(1.0, abs(new))
 
 
-def _suite_fraclap(refinements):
+def _suite_fraclap():
     rng = np.random.default_rng(11)
     recs = []
     g1 = make_interval_grid(0.0, 1.0, 21)
@@ -148,7 +146,7 @@ def _suite_fraclap(refinements):
             for _ in range(5):
                 gvec = rng.uniform(-2, 2, size=d)
                 off = rng.uniform(-1, 1)
-                phi = TestFunction.affine(gvec, off, dim=d)
+                phi = TestFunction.affine(gvec, off)
                 req = FracLapRequest(grid=grid, phi=phi, s=s)
                 x = 0.5 if d == 1 else (0.45, 0.55)
                 worst = max(worst, abs(fraclap_new(req, x)))
@@ -186,7 +184,7 @@ def _suite_fraclap(refinements):
 
 # ---------------------------------------------------------------------------
 
-def _suite_greens(refinements):
+def _suite_greens():
     recs = []
     g1 = make_interval_grid(0.0, 1.0, 11)
     g2 = make_rectangle_grid(0.0, 1.0, 0.0, 1.0, 9, 9)
@@ -206,11 +204,8 @@ def _suite_greens(refinements):
     # low-order quadrature so the decay is visible above the float floor
     phi = TestFunction.gaussian_bump([0.45, 0.5], 0.2)
     v = TestFunction.sine_mode(1, g2)
-    res = []
-    for k in range(refinements):
-        n = 4 * 2 ** k + 1
-        gk = make_rectangle_grid(0.0, 1.0, 0.0, 1.0, n, n)
-        res.append(green_residual(gk, phi, v, gauss_order=2))
+    res = [green_residual(make_rectangle_grid(0.0, 1.0, 0.0, 1.0, n, n), phi, v, gauss_order=2)
+           for n in (5, 9, 17)]
     worst_ratio = max(res[k + 1] / res[k] for k in range(len(res) - 1))
     recs.append(_rec("greens", "refinement decay factor (smooth pair)", worst_ratio, 0.25))
     return recs
@@ -218,7 +213,7 @@ def _suite_greens(refinements):
 
 # ---------------------------------------------------------------------------
 
-def _suite_discrete(refinements):
+def _suite_discrete():
     recs = []
     K = discrete.assemble_laplacian_1d(50, 1.0)
     eig = discrete.sym_eigendecompose(K)
@@ -295,13 +290,13 @@ SUITES = {
 }
 
 
-def run_suite(name, refinements=3):
+def run_suite(name):
     """Run one suite (or 'all'); returns the list of check records."""
     if name == "all":
         out = []
         for fn in SUITES.values():
-            out.extend(fn(refinements))
+            out.extend(fn())
         return out
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return SUITES[name](refinements)
+    return SUITES[name]()

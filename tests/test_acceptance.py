@@ -85,7 +85,7 @@ def test_03_affine_annihilation():
                 g = rng.uniform(-3.0, 3.0, size=d)
                 c0 = rng.uniform(-2.0, 2.0)
                 req = FracLapRequest(grid=grid, s=s,
-                                     phi=TestFunction.affine(g, c0, dim=d))
+                                     phi=TestFunction.affine(g, c0))
                 worst = max(worst, abs(fraclap_new(req, x)))
     _report(3, "affine fields annihilated", worst, 1e-10, worst <= 1e-10)
 

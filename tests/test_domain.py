@@ -253,18 +253,40 @@ class TestSampledField:
         mesh = np.meshgrid(*grid.axes, indexing="ij")
         f = TestFunction.sampled(grid, exact.value(np.stack(mesh, axis=-1).reshape(-1, dim))
                                  .reshape(mesh[0].shape))
-        # points off the edges by more than the difference step: np.interp clamps outside
-        frac = np.array([[data.draw(st.floats(0.01, 0.99)) for _ in range(dim)]
-                         for _ in range(8)])
-        pts = lo + frac * sides
-        scale = 1.0 + abs(offset) + np.abs(slope) @ np.maximum(np.abs(lo), np.abs(lo + sides))
+        # points inside, on the edges and up to one cell outside: the interpolant
+        # extrapolates linearly, so the gradient is the slope everywhere
+        cell = sides / (np.array(sizes) - 1)
+        u = np.array([[data.draw(st.floats(-1.0, 1.0)) for _ in range(dim)] for _ in range(8)])
+        pts = np.vstack([lo - cell, lo, lo + sides, lo + sides + cell,
+                         lo + 0.5 * sides + u * (0.5 * sides + cell)])
+        scale = 1.0 + abs(offset) + np.abs(slope) @ np.max(np.abs(pts), axis=0)
         np.testing.assert_allclose(f.value(pts), exact.value(pts), rtol=0, atol=1e-13 * scale)
         np.testing.assert_allclose(f.gradient(pts).reshape(-1, dim),
                                    np.broadcast_to(slope, (len(pts), dim)),
                                    rtol=0, atol=1e-8 * scale)
+        bq = boundary_quadrature(grid)
+        np.testing.assert_allclose(BoundaryData.from_function(bq, f).neumann, bq.normals @ slope,
+                                   rtol=0, atol=1e-8 * scale)
         # a second difference of rounded samples: about eps * scale / spacing^2
         min_spacing = min(side / (n - 1) for side, n in zip(sides, sizes))
         np.testing.assert_allclose(f.laplacian(pts), 0.0, atol=1e-14 * scale / min_spacing ** 2)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_quadratic_samples_give_the_exact_hessian(self, dim):
+        # central second differences, mixed terms included, are exact on a quadratic,
+        # and the sampled Laplacian is the interpolant of their trace
+        grid = (make_interval_grid(-0.3, 1.1, 21) if dim == 1
+                else make_rectangle_grid(-0.3, 1.1, 0.2, 0.9, 41, 33))
+        form = np.array([[1.0]]) if dim == 1 else np.array([[1.0, 0.5], [0.5, 1.0]])
+        mesh = np.stack(np.meshgrid(*grid.axes, indexing="ij"), axis=-1)
+        f = TestFunction.sampled(grid, np.einsum("...k,kl,...l->...", mesh, form, mesh))
+        lo, hi = np.array(grid.bounds[0::2]), np.array(grid.bounds[1::2])
+        pts = np.vstack([np.random.default_rng(5).uniform(lo, hi, size=(300, dim)),
+                         mesh.reshape(-1, dim)])
+        H = f.hessian(pts)
+        np.testing.assert_allclose(H, np.broadcast_to(2.0 * form, H.shape), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(np.trace(H, axis1=-2, axis2=-1), f.laplacian(pts),
+                                   rtol=0, atol=1e-12)
 
     def test_new_builds_the_discrete_laplacian_once(self, monkeypatch):
         # one request converts its samples once, and the field builds its Laplacian
@@ -274,8 +296,8 @@ class TestSampledField:
         samples = TestFunction.gaussian_bump([0.5, 0.5], 0.2).value(
             np.stack(mesh, axis=-1).reshape(-1, 2)).reshape(41, 41)
         builds = []
-        build = domain._discrete_laplacian
-        monkeypatch.setattr(domain, "_discrete_laplacian",
+        build = domain._second_differences
+        monkeypatch.setattr(domain, "_second_differences",
                             lambda *args: builds.append(args) or build(*args))
         req = FracLapRequest(grid=grid, phi=samples, s=0.75, definition=Definition.NEW,
                              eval_points=[[0.4, 0.55], [0.5, 0.5], [0.3, 0.62]])

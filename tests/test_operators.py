@@ -61,7 +61,7 @@ class TestPotentialOfLaplacianForm:
         for _ in range(5):
             g = rng.uniform(-2.0, 2.0, size=d)
             c0 = rng.uniform(-1.0, 1.0)
-            req = _req(grid, TestFunction.affine(g, c0, dim=d), s)
+            req = _req(grid, TestFunction.affine(g, c0), s)
             for x in pts:
                 assert abs(fraclap_new(req, x)) <= 1e-10
 
