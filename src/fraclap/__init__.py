@@ -11,7 +11,7 @@ from .discrete import (DirichletStencil, EigenDecomposition, apply_fraclap_discr
                        assemble_laplacian_1d, assemble_laplacian_2d,
                        laplacian_1d_eigenvalues, matrix_fractional_power,
                        modal_diffusion_solve, sym_eigendecompose)
-from .domain import (BoundaryData, Grid1D, Grid2D, TestFunction,
+from .domain import (BoundaryData, Grid, TestFunction,
                      boundary_quadrature, make_interval_grid, make_rectangle_grid)
 from .errors import (DegenerateExponent, FracLapError, GammaPole,
                      MissingBoundaryData, NotPositiveDefinite, NotSymmetric)
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConstantMode", "FractionalOrder", "gamma_ln", "gamma_value",
     "riesz_constant", "h_constant", "radial_laplacian",
-    "Grid1D", "Grid2D", "make_interval_grid", "make_rectangle_grid",
+    "Grid", "make_interval_grid", "make_rectangle_grid",
     "TestFunction", "BoundaryData", "boundary_quadrature",
     "GradedPanels", "graded_quadrature_rule",
     "PotentialRequest", "RuleParams", "riesz_potential_point", "riesz_potential_field",

@@ -167,6 +167,8 @@ def _check_symmetric(matrix):
     matrix = np.asarray(matrix, float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix entries must be finite, got NaN or infinity")
     scale = max(1.0, float(np.abs(matrix).max()))
     if np.abs(matrix - matrix.T).max() > _SYM_TOL * scale:
         raise NotSymmetric("matrix is not symmetric within tolerance")
@@ -228,18 +230,12 @@ def modal_diffusion_solve(eig: EigenDecomposition | DirichletStencil, s: float,
 # CSV interfaces
 
 def save_matrix_csv(path, matrix):
-    matrix = np.asarray(matrix, float)
-    with open(path, "w") as fh:
-        for row in matrix:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(path, np.asarray(matrix, float), fmt="%.17g", delimiter=",")
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([float(tok) for tok in line.split(",")])
-    return np.asarray(rows, float)
+    """The rows of a comma-separated file as a 2D array; non-finite entries are a ValueError."""
+    matrix = np.loadtxt(path, delimiter=",", ndmin=2)
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"{path}: entries must be finite, got NaN or infinity")
+    return matrix

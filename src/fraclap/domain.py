@@ -1,8 +1,10 @@
 """Bounded domains (interval, rectangle), test fields, and boundary data.
 
-Both grids share one set of methods written from ``bounds`` and ``axes``:
-``(nodes,)`` or ``(x_nodes, y_nodes)``.  The boundary quadrature takes its
-facets and facet rule from :mod:`fraclap.quadrature`, as the Duffy fans do.
+One ``Grid`` serves both dimensions: the box's corners ``lo`` and ``hi`` and
+the nodes along each axis, ``axes``.  Evaluation points and interior nodes
+keep one margin from the boundary, ``Grid.margin``, up to ``MARGIN_TOL``.
+The boundary quadrature takes the box's facets and the facet rule from
+:mod:`fraclap.quadrature`, as the Duffy fans do, and both are built once.
 
 A field is a ``TestFunction``, analytic or ``TestFunction.sampled``: the
 constant, affine and quadratic fields are one quadratic form, and samples one
@@ -25,8 +27,7 @@ from .errors import MissingBoundaryData
 from .quadrature import DEFAULT_GAUSS_ORDER, box_facets, facet_rule
 
 __all__ = [
-    "Grid1D",
-    "Grid2D",
+    "Grid",
     "make_interval_grid",
     "make_rectangle_grid",
     "BoundaryQuadrature",
@@ -38,6 +39,7 @@ __all__ = [
 
 
 MARGIN_CELLS = 2   # interior margin, in cells, of evaluation points and interior nodes
+MARGIN_TOL = 1e-12  # absolute slack of every margin test, for round-off in node positions
 
 
 def _product_points(axes):
@@ -50,21 +52,35 @@ def _public_points(pts):
     return pts[:, 0] if pts.shape[1] == 1 else pts
 
 
-class _Box:
-    """Grid methods shared by both dimensions, written from ``bounds`` and ``axes``."""
+@dataclass(frozen=True)
+class Grid:
+    """Uniform tensor-product grid on the box [lo, hi]: an interval or a rectangle.
+
+    ``lo`` and ``hi`` are the box's corners as tuples of floats, one entry
+    per axis, and ``axes`` the nodes along each axis, both ends included.
+    """
+
+    lo: tuple
+    hi: tuple
+    axes: tuple
+
+    # an interval's nodes and a rectangle's per-axis nodes, under their names
+    nodes = x_nodes = property(lambda self: self.axes[0])
+    y_nodes = property(lambda self: self.axes[1])
 
     @property
     def dim(self):
         return len(self.axes)
 
-    def _sides(self):
-        """(lo, hi, nodes) of each axis."""
-        return zip(self.bounds[0::2], self.bounds[1::2], self.axes)
+    @property
+    def bounds(self):
+        """(a, b) on an interval, (a1, b1, a2, b2) on a rectangle."""
+        return tuple(t for side in zip(self.lo, self.hi) for t in side)
 
     @property
     def steps(self):
         """The cell width along each axis."""
-        return [(hi - lo) / (len(ax) - 1) for lo, hi, ax in self._sides()]
+        return [(hi - lo) / (len(ax) - 1) for lo, hi, ax in zip(self.lo, self.hi, self.axes)]
 
     @property
     def spacing(self):
@@ -72,81 +88,49 @@ class _Box:
         return max(self.steps)
 
     @property
+    def margin(self):
+        """The distance, ``MARGIN_CELLS`` cells, that evaluation points keep from the boundary."""
+        return MARGIN_CELLS * self.spacing
+
+    @property
     def diameter(self):
-        return float(np.hypot.reduce([hi - lo for lo, hi, _ in self._sides()]))
+        return float(np.hypot.reduce(np.subtract(self.hi, self.lo)))
 
     @property
     def measure(self):
-        return math.prod(hi - lo for lo, hi, _ in self._sides())
+        return math.prod(hi - lo for lo, hi in zip(self.lo, self.hi))
 
     def distance_to_boundary(self, x):
         p = np.asarray(x, float).reshape(self.dim)
-        return float(min(min(pk - lo, hi - pk) for pk, (lo, hi, _) in zip(p, self._sides())))
+        return float(min(min(pk - lo, hi - pk) for pk, lo, hi in zip(p, self.lo, self.hi)))
 
     def interior_nodes(self, margin_cells=MARGIN_CELLS):
-        """Nodes at least ``margin_cells`` cells from the boundary: (N,) in 1D, (N, 2) in 2D."""
-        delta = margin_cells * self.spacing
-        kept = [ax[(ax - lo >= delta - 1e-14) & (hi - ax >= delta - 1e-14)]
-                for lo, hi, ax in self._sides()]
+        """Nodes at least ``margin_cells`` cells from the boundary, up to ``MARGIN_TOL``:
+        (N,) in 1D, (N, 2) in 2D."""
+        delta = margin_cells * self.spacing - MARGIN_TOL
+        kept = [ax[(ax - lo >= delta) & (hi - ax >= delta)]
+                for lo, hi, ax in zip(self.lo, self.hi, self.axes)]
         return _public_points(_product_points(kept))
 
 
-@dataclass(frozen=True)
-class Grid1D(_Box):
-    """Uniform interval grid."""
-
-    a: float
-    b: float
-    n: int
-    nodes: np.ndarray
-
-    @property
-    def bounds(self):
-        return (self.a, self.b)
-
-    @property
-    def axes(self):
-        return (self.nodes,)
+def _make_grid(lo, hi, sizes):
+    """The grid of ``sizes`` nodes per axis on the box [lo, hi]."""
+    lo, hi = tuple(map(float, lo)), tuple(map(float, hi))
+    if not all(b > a for a, b in zip(lo, hi)):  # written so that NaN fails too
+        raise ValueError("degenerate box " + "x".join(f"[{a}, {b}]" for a, b in zip(lo, hi)))
+    if min(sizes) < 3:
+        raise ValueError(f"need at least 3 nodes per axis, got {'x'.join(map(str, sizes))}")
+    return Grid(lo, hi, tuple(np.linspace(a, b, n) for a, b, n in zip(lo, hi, sizes)))
 
 
-@dataclass(frozen=True)
-class Grid2D(_Box):
-    """Tensor-product rectangle grid."""
-
-    a1: float
-    b1: float
-    a2: float
-    b2: float
-    nx: int
-    ny: int
-    x_nodes: np.ndarray
-    y_nodes: np.ndarray
-
-    @property
-    def bounds(self):
-        return (self.a1, self.b1, self.a2, self.b2)
-
-    @property
-    def axes(self):
-        return (self.x_nodes, self.y_nodes)
-
-
-def make_interval_grid(a: float, b: float, n: int) -> Grid1D:
+def make_interval_grid(a: float, b: float, n: int) -> Grid:
     """Uniform grid of n nodes on [a, b], endpoints included."""
-    if not b > a:
-        raise ValueError(f"degenerate interval [{a}, {b}]")
-    if n < 3:
-        raise ValueError(f"need at least 3 nodes, got {n}")
-    return Grid1D(a=a, b=b, n=n, nodes=np.linspace(a, b, n))
+    return _make_grid((a,), (b,), (n,))
 
 
-def make_rectangle_grid(a1, b1, a2, b2, nx, ny) -> Grid2D:
-    if not (b1 > a1 and b2 > a2):
-        raise ValueError(f"degenerate rectangle [{a1},{b1}]x[{a2},{b2}]")
-    if nx < 3 or ny < 3:
-        raise ValueError(f"need at least 3 nodes per direction, got {nx}x{ny}")
-    return Grid2D(a1=a1, b1=b1, a2=a2, b2=b2, nx=nx, ny=ny,
-                  x_nodes=np.linspace(a1, b1, nx), y_nodes=np.linspace(a2, b2, ny))
+def make_rectangle_grid(a1, b1, a2, b2, nx, ny) -> Grid:
+    """Tensor-product grid of nx by ny nodes on [a1, b1] x [a2, b2], edges included."""
+    return _make_grid((a1, a2), (b1, b2), (nx, ny))
 
 
 @dataclass(frozen=True)
@@ -168,12 +152,10 @@ def boundary_quadrature(grid, gauss_order=DEFAULT_GAUSS_ORDER) -> BoundaryQuadra
     split into ``max(nx, ny) - 1`` equal Gauss panels, the number of cells
     along the grid's longer direction, whatever the edge's length.
     """
-    bounds = np.asarray(grid.bounds, float)
-    lo, hi = bounds[0::2], bounds[1::2]
-    verts, normals = box_facets(lo, hi)
+    verts, normals = box_facets(grid.lo, grid.hi)
     bary, w = facet_rule(grid.dim, max(len(ax) for ax in grid.axes) - 1, gauss_order)
     # the facet normal to one axis spans the box's sides along the others
-    size = np.prod(np.where(normals == 0.0, hi - lo, 1.0), axis=1)
+    size = np.prod(np.where(normals == 0.0, np.subtract(grid.hi, grid.lo), 1.0), axis=1)
     return BoundaryQuadrature(points=(bary @ verts).reshape(-1, grid.dim),
                               normals=np.repeat(normals, len(w), axis=0),
                               weights=(size[:, None] * w).ravel())
@@ -282,9 +264,8 @@ class TestFunction:
     def sine_mode(k, grid):
         """Product of sine modes vanishing on the boundary of ``grid``; a derivative of
         the product is the product of the matching derivatives of its factors."""
-        bounds = np.asarray(grid.bounds, float)
-        k, dim, lo = int(k), grid.dim, bounds[0::2]
-        om = k * np.pi / (bounds[1::2] - lo)
+        k, dim, lo = int(k), grid.dim, np.array(grid.lo)
+        om = k * np.pi / (np.array(grid.hi) - lo)
         eye = np.eye(dim, dtype=int)
 
         def val(p):
@@ -317,6 +298,8 @@ class TestFunction:
         shape = tuple(len(ax) for ax in grid.axes)
         if samples.shape != shape:
             raise ValueError(f"samples must have shape {shape}, got {samples.shape}")
+        if not np.isfinite(samples).all():
+            raise ValueError("samples must be finite, got NaN or infinity")
         dim, val = grid.dim, _interpolant(grid, samples)
 
         @functools.cache
@@ -346,7 +329,7 @@ def _quadratic_form(kind, a, g, c):
     lap = np.trace(hess)
     return TestFunction(
         kind=kind, dim=dim,
-        _value=lambda p: np.sum(p * (p @ a), axis=1) + p @ g + c,
+        _value=lambda p: np.einsum("ij,ij->i", p, p @ a) + p @ g + c,
         _gradient=lambda p: p @ hess + g,
         _laplacian=lambda p: np.full(len(p), lap),
         _hessian=lambda p: np.broadcast_to(hess, (len(p), dim, dim)).copy(),

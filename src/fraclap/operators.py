@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .domain import MARGIN_CELLS, BoundaryData, FieldAdapter, as_field, boundary_quadrature
+from .domain import MARGIN_TOL, BoundaryData, FieldAdapter, as_field, boundary_quadrature
 from .errors import MissingBoundaryData
 from .riesz import PotentialRequest, RuleParams, _eval_points, riesz_potential_point
 from .special import ConstantMode, FractionalOrder, h_constant, riesz_constant
@@ -79,10 +79,10 @@ class FracLapRequest:
             self.boundary.require_full()
 
     def check_margin(self, x):
-        """Distance of x to the boundary; at least ``MARGIN_CELLS`` cells or ValueError."""
+        """Distance of x to the boundary; at least the grid's ``margin`` or ValueError."""
         dist = self.grid.distance_to_boundary(x)
-        delta = MARGIN_CELLS * self.grid.spacing
-        if dist < delta - 1e-12:
+        delta = self.grid.margin
+        if dist < delta - MARGIN_TOL:
             raise ValueError(
                 f"evaluation point {x!r} violates the interior margin "
                 f"(distance {dist:.3g} < delta {delta:.3g})")

@@ -23,7 +23,8 @@ integrates f r^p as a plain weighted sum of f.
 One radial rule, cached per (beta, order), serves every fan in both
 dimensions.  Only the facets and the facet rule depend on the dimension;
 ``box_facets`` and ``facet_rule`` (one node of weight 1 on an endpoint,
-Gauss panels along an edge) also make ``domain.boundary_quadrature``.
+Gauss panels along an edge) also make ``domain.boundary_quadrature``.  Both
+are cached, the facets per box, so every rule on a grid shares one table.
 ``gauss_panel`` makes every composite Gauss-Legendre rule; it maps one
 Legendre rule onto all the panels of a rule at once.
 """
@@ -113,15 +114,20 @@ class GradedPanels:
         return float(np.sum(self.weights * vals))
 
 
+@functools.lru_cache(maxsize=128)
 def box_facets(lo, hi):
-    """Facets of the box [lo, hi] as (F, d, d) vertices and (F, d) outward normals:
-    an interval's two endpoints, or a rectangle's four edges counterclockwise."""
-    lo, hi = np.asarray(lo, float), np.asarray(hi, float)
+    """Read-only facets of the box [lo, hi], its corners given as tuples: (F, d, d)
+    vertices and (F, d) outward normals, an interval's two endpoints or a
+    rectangle's four edges counterclockwise."""
     if len(lo) == 1:
-        return np.stack([lo, hi])[:, None], np.array([[-1.0], [1.0]])
-    corners = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]])
-    normals = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    return np.stack([corners, np.roll(corners, -1, axis=0)], axis=1), normals
+        verts, normals = np.array([[lo], [hi]], float), np.array([[-1.0], [1.0]])
+    else:
+        corners = np.array([[lo[0], lo[1]], [hi[0], lo[1]], [hi[0], hi[1]], [lo[0], hi[1]]],
+                           float)
+        verts = np.stack([corners, np.roll(corners, -1, axis=0)], axis=1)
+        normals = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    verts.flags.writeable = normals.flags.writeable = False
+    return verts, normals
 
 
 @functools.lru_cache(maxsize=128)
@@ -158,7 +164,7 @@ def graded_quadrature_rule(domain, singular_point, power=0.0, radial_order=DEFAU
                            gauss_order=DEFAULT_GAUSS_ORDER) -> GradedPanels:
     """Build a rule for ``domain`` integrating f * r^power about ``singular_point``.
 
-    ``domain`` is a Grid1D/Grid2D or a raw bounds tuple: (a, b) in 1D,
+    ``domain`` is a ``domain.Grid`` or a raw bounds tuple: (a, b) in 1D,
     (a1, b1, a2, b2) in 2D.  ``power`` must exceed -d for the kernel to be
     integrable, and a ``ValueError`` says so otherwise; the default 0 gives
     a plain volume rule.
@@ -167,12 +173,15 @@ def graded_quadrature_rule(domain, singular_point, power=0.0, radial_order=DEFAU
         raise ValueError(f"radial order must be >= 1, got {radial_order!r}")
     if gauss_order < 1:
         raise ValueError(f"gauss order must be >= 1, got {gauss_order!r}")
-    bounds = np.asarray(getattr(domain, "bounds", domain), float)
-    lo, hi = bounds[0::2], bounds[1::2]
+    if hasattr(domain, "lo"):
+        lo, hi = domain.lo, domain.hi
+    else:
+        bounds = np.asarray(domain, float)
+        lo, hi = tuple(bounds[0::2].tolist()), tuple(bounds[1::2].tolist())
     d = len(lo)
     if not power > -d:  # written so that NaN fails too
         raise ValueError(f"r^power is not integrable in {d}D unless power > -{d}, got {power!r}")
     x = np.asarray(singular_point, float).reshape(d)
-    if not np.all((lo <= x) & (x <= hi)):  # written so that NaN fails too
-        raise ValueError(f"singular point {x.tolist()} outside the domain {bounds.tolist()}")
+    if not np.all(np.less_equal(lo, x) & np.less_equal(x, hi)):  # so that NaN fails too
+        raise ValueError(f"singular point {x.tolist()} outside the box {list(lo)} to {list(hi)}")
     return _graded_rule(lo, hi, x, float(power), int(radial_order), gauss_order)

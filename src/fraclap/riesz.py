@@ -37,7 +37,7 @@ class RuleParams:
 class PotentialRequest:
     """Everything needed to evaluate the truncated potential of one field."""
 
-    grid: object                     # Grid1D | Grid2D
+    grid: object                     # domain.Grid
     phi: object                      # TestFunction | nodal sample array
     sigma: float
     eval_points: np.ndarray = None

@@ -138,6 +138,49 @@ class TestExitCodes:
         assert "NotPositiveDefinite" in r.stderr
 
 
+    @pytest.mark.parametrize("text", ["1,nan\nnan,1\n", "2,-1\n-1,inf\n"], ids=["nan", "inf"])
+    def test_non_finite_matrix_is_two(self, tmp_path, capsys, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        assert cli.main(["matpow", "--matrix", str(path), "--s", "1.0"]) == 2
+        captured = capsys.readouterr()
+        assert str(path) in captured.err and "finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        lambda path: ["matpow", "--assemble", "1d:4,1", "--s", "1.0", "--apply", path],
+        lambda path: ["diffuse", "--assemble", "1d:4,1", "--s", "1.0", "--times", "0,0.1",
+                      "--ic", "file:" + path],
+    ], ids=["apply", "diffuse"])
+    def test_non_finite_vector_is_two(self, tmp_path, capsys, argv):
+        path = tmp_path / "v.csv"
+        path.write_text("1\n2\nnan\n4\n")
+        assert cli.main(argv(str(path))) == 2
+        captured = capsys.readouterr()
+        assert str(path) in captured.err and "finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+    def test_empty_matrix_file_is_three_and_empty_vector_two(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        assert cli.main(["matpow", "--matrix", str(path), "--s", "1.0"]) == 3
+        assert "NotSymmetric" in capsys.readouterr().err
+        assert cli.main(["matpow", "--assemble", "1d:4,1", "--s", "1.0",
+                         "--apply", str(path)]) == 2
+        assert "does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1,2\n3\n", "1,x\nx,1\n", "1,2,\n2,1,\n"],
+                             ids=["ragged", "word", "trailing-comma"])
+    @pytest.mark.parametrize("mode", ["--matrix", "--apply"])
+    def test_malformed_csv_is_two(self, tmp_path, capsys, text, mode):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        source = ["--matrix", str(path)] if mode == "--matrix" else [
+            "--assemble", "1d:2,1", "--apply", str(path)]
+        assert cli.main(["matpow", *source, "--s", "1.0"]) == 2
+        assert "ValueError" in capsys.readouterr().err
+
 class TestMatpow:
     def test_check_semigroup(self):
         r = run_cli("matpow", "--assemble", "1d:12,1", "--s", "1.0",

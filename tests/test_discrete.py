@@ -67,6 +67,12 @@ class TestEigendecomposition:
         with pytest.raises(NotPositiveDefinite):
             sym_eigendecompose(M)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        for M in ([[1.0, bad], [bad, 1.0]], [[2.0, -1.0], [-1.0, bad]]):
+            with pytest.raises(ValueError, match="finite"):
+                sym_eigendecompose(np.array(M))
+
 
 class TestFractionalPower:
     def setup_method(self):
@@ -266,3 +272,10 @@ class TestSerialization:
         path = tmp_path / "k.csv"
         save_matrix_csv(path, K)
         np.testing.assert_array_equal(load_matrix_csv(path), K)
+
+    def test_writes_seventeen_digits_per_entry(self, tmp_path):
+        M = np.random.default_rng(4).standard_normal((5, 3)) * np.array([1e-300, 1.0, 1e300])
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, M)
+        assert path.read_text() == "".join(",".join(f"{v:.17g}" for v in row) + "\n"
+                                           for row in M)

@@ -13,10 +13,11 @@ from scipy.interpolate import RegularGridInterpolator
 
 import fraclap
 from fraclap import domain
-from fraclap.domain import (BoundaryData, FieldAdapter, TestFunction, boundary_quadrature,
-                            make_interval_grid, make_rectangle_grid)
+from fraclap.domain import (BoundaryData, FieldAdapter, Grid, TestFunction,
+                            boundary_quadrature, make_interval_grid, make_rectangle_grid)
 from fraclap.errors import MissingBoundaryData
 from fraclap.operators import Definition, FracLapRequest, evaluate
+from fraclap.quadrature import box_facets, graded_quadrature_rule
 
 
 class TestGrids:
@@ -66,6 +67,44 @@ class TestGrids:
         inner = g.interior_nodes(margin_cells=1)
         assert inner.shape == (9, 2)
         assert inner.min() >= 0.25 - 1e-12
+
+    def test_factories_make_one_grid_type(self):
+        g1 = make_interval_grid(0, 2, 5)
+        g2 = make_rectangle_grid(0.0, 2.0, -1.0, 1.0, 5, 9)
+        assert type(g1) is Grid and type(g2) is Grid
+        assert (g1.lo, g1.hi, g1.bounds) == ((0.0,), (2.0,), (0.0, 2.0))
+        assert (g2.lo, g2.hi, g2.bounds) == ((0.0, -1.0), (2.0, 1.0), (0.0, 2.0, -1.0, 1.0))
+        assert g1.nodes is g1.axes[0]
+        assert g2.x_nodes is g2.axes[0] and g2.y_nodes is g2.axes[1]
+        np.testing.assert_array_equal(g2.y_nodes, np.linspace(-1.0, 1.0, 9))
+
+    @pytest.mark.parametrize("grid", [make_interval_grid(-0.75, 1.25, 9),
+                                      make_rectangle_grid(-0.75, 1.25, 0.5, 1.5, 9, 7)],
+                             ids=["interval", "rectangle"])
+    def test_facets_built_once_per_box(self, grid):
+        verts, normals = box_facets(grid.lo, grid.hi)
+        assert not verts.flags.writeable and not normals.flags.writeable
+        misses = box_facets.cache_info().misses
+        # the boundary rule and every volume rule on the box read the same table
+        boundary_quadrature(grid)
+        for x in grid.interior_nodes(margin_cells=1):
+            graded_quadrature_rule(grid, x, -0.5)
+        assert box_facets.cache_info().misses == misses
+        again = box_facets(grid.lo, grid.hi)
+        assert again[0] is verts and again[1] is normals
+
+    @settings(deadline=None, max_examples=80)
+    @given(dim=st.sampled_from([1, 2]), data=st.data())
+    def test_interior_nodes_clear_the_evaluation_margin(self, dim, data):
+        # one margin and one tolerance: every interior node is a valid evaluation point
+        lo = [data.draw(st.floats(-50.0, 50.0)) for _ in range(dim)]
+        sides = [data.draw(st.floats(0.01, 20.0)) for _ in range(dim)]
+        sizes = [data.draw(st.integers(3, 60)) for _ in range(dim)]
+        grid = (make_interval_grid(lo[0], lo[0] + sides[0], sizes[0]) if dim == 1 else
+                make_rectangle_grid(lo[0], lo[0] + sides[0], lo[1], lo[1] + sides[1], *sizes))
+        req = FracLapRequest(grid=grid, phi=TestFunction.constant(1.0, dim=dim), s=0.5)
+        for x in grid.interior_nodes():
+            assert req.check_margin(x) >= grid.margin - 1e-12
 
 
 class TestBoundaryQuadrature:
@@ -221,6 +260,15 @@ class TestTestFunction:
 
 
 class TestSampledField:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_samples(self, bad):
+        grid = make_rectangle_grid(0.0, 1.0, 0.0, 1.0, 9, 7)
+        mesh = np.stack(np.meshgrid(*grid.axes, indexing="ij"), axis=-1).reshape(-1, 2)
+        samples = TestFunction.gaussian_bump([0.5, 0.5], 0.2).value(mesh).reshape(9, 7)
+        samples[4, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            TestFunction.sampled(grid, samples)
+
     def test_bilinear_matches_regular_grid_interpolator(self):
         grid = make_rectangle_grid(-0.3, 1.2, 0.1, 0.9, 41, 33)
         rng = np.random.default_rng(3)
