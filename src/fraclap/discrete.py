@@ -234,8 +234,10 @@ def save_matrix_csv(path, matrix):
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    """The rows of a comma-separated file as a 2D array; non-finite entries are a ValueError."""
-    matrix = np.loadtxt(path, delimiter=",", ndmin=2)
+    """The rows of a comma-separated file as a 2D array, blank lines skipped; text that is
+    not a finite number, ``#`` included, is a ValueError."""
+    with open(path) as fh:
+        matrix = np.loadtxt((ln for ln in fh if ln.strip()), delimiter=",", ndmin=2, comments=None)
     if not np.isfinite(matrix).all():
         raise ValueError(f"{path}: entries must be finite, got NaN or infinity")
     return matrix

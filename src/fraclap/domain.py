@@ -2,7 +2,7 @@
 
 One ``Grid`` serves both dimensions: the box's corners ``lo`` and ``hi`` and
 the nodes along each axis, ``axes``.  Evaluation points and interior nodes
-keep one margin from the boundary, ``Grid.margin``, up to ``MARGIN_TOL``.
+keep one margin from the boundary, ``Grid.margin()``, up to ``MARGIN_TOL``.
 The boundary quadrature takes the box's facets and the facet rule from
 :mod:`fraclap.quadrature`, as the Duffy fans do, and both are built once.
 
@@ -52,6 +52,15 @@ def _public_points(pts):
     return pts[:, 0] if pts.shape[1] == 1 else pts
 
 
+def _axis_alias(name, dim, k):
+    """``axes[k]`` under its own name, on a grid of dimension ``dim`` only."""
+    def get(grid):
+        if grid.dim != dim:
+            raise AttributeError(f"{name} is defined on a {dim}D grid, not on a {grid.dim}D one")
+        return grid.axes[k]
+    return property(get)
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform tensor-product grid on the box [lo, hi]: an interval or a rectangle.
@@ -65,8 +74,9 @@ class Grid:
     axes: tuple
 
     # an interval's nodes and a rectangle's per-axis nodes, under their names
-    nodes = x_nodes = property(lambda self: self.axes[0])
-    y_nodes = property(lambda self: self.axes[1])
+    nodes = _axis_alias("nodes", 1, 0)
+    x_nodes = _axis_alias("x_nodes", 2, 0)
+    y_nodes = _axis_alias("y_nodes", 2, 1)
 
     @property
     def dim(self):
@@ -87,10 +97,9 @@ class Grid:
         """The widest cell width over the axes."""
         return max(self.steps)
 
-    @property
-    def margin(self):
-        """The distance, ``MARGIN_CELLS`` cells, that evaluation points keep from the boundary."""
-        return MARGIN_CELLS * self.spacing
+    def margin(self, cells=MARGIN_CELLS):
+        """The width of ``cells`` cells; by default the margin of evaluation points."""
+        return cells * self.spacing
 
     @property
     def diameter(self):
@@ -107,7 +116,7 @@ class Grid:
     def interior_nodes(self, margin_cells=MARGIN_CELLS):
         """Nodes at least ``margin_cells`` cells from the boundary, up to ``MARGIN_TOL``:
         (N,) in 1D, (N, 2) in 2D."""
-        delta = margin_cells * self.spacing - MARGIN_TOL
+        delta = self.margin(margin_cells) - MARGIN_TOL
         kept = [ax[(ax - lo >= delta) & (hi - ax >= delta)]
                 for lo, hi, ax in zip(self.lo, self.hi, self.axes)]
         return _public_points(_product_points(kept))

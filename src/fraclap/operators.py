@@ -79,9 +79,9 @@ class FracLapRequest:
             self.boundary.require_full()
 
     def check_margin(self, x):
-        """Distance of x to the boundary; at least the grid's ``margin`` or ValueError."""
+        """Distance of x to the boundary; at least the grid's ``margin()`` or ValueError."""
         dist = self.grid.distance_to_boundary(x)
-        delta = self.grid.margin
+        delta = self.grid.margin()
         if dist < delta - MARGIN_TOL:
             raise ValueError(
                 f"evaluation point {x!r} violates the interior margin "

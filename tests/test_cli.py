@@ -170,8 +170,9 @@ class TestExitCodes:
                          "--apply", str(path)]) == 2
         assert "does not match" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("text", ["1,2\n3\n", "1,x\nx,1\n", "1,2,\n2,1,\n"],
-                             ids=["ragged", "word", "trailing-comma"])
+    @pytest.mark.parametrize("text", ["1,2\n3\n", "1,x\nx,1\n", "1,2,\n2,1,\n",
+                                      "1,2 # x\n2,1\n", "1,2#,3\n2,1\n"],
+                             ids=["ragged", "word", "trailing-comma", "comment", "hash"])
     @pytest.mark.parametrize("mode", ["--matrix", "--apply"])
     def test_malformed_csv_is_two(self, tmp_path, capsys, text, mode):
         path = tmp_path / "m.csv"

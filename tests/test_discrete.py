@@ -273,6 +273,11 @@ class TestSerialization:
         save_matrix_csv(path, K)
         np.testing.assert_array_equal(load_matrix_csv(path), K)
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("\n1,2\n  \n\t\n2,1\n\n")
+        np.testing.assert_array_equal(load_matrix_csv(path), [[1.0, 2.0], [2.0, 1.0]])
+
     def test_writes_seventeen_digits_per_entry(self, tmp_path):
         M = np.random.default_rng(4).standard_normal((5, 3)) * np.array([1e-300, 1.0, 1e300])
         path = tmp_path / "m.csv"

@@ -78,6 +78,13 @@ class TestGrids:
         assert g2.x_nodes is g2.axes[0] and g2.y_nodes is g2.axes[1]
         np.testing.assert_array_equal(g2.y_nodes, np.linspace(-1.0, 1.0, 9))
 
+    def test_aliases_hold_on_their_own_dimension_only(self):
+        g1 = make_interval_grid(0, 2, 5)
+        g2 = make_rectangle_grid(0.0, 2.0, -1.0, 1.0, 5, 9)
+        assert not any(hasattr(g1, name) for name in ("x_nodes", "y_nodes"))
+        with pytest.raises(AttributeError, match="nodes is defined on a 1D grid"):
+            g2.nodes
+
     @pytest.mark.parametrize("grid", [make_interval_grid(-0.75, 1.25, 9),
                                       make_rectangle_grid(-0.75, 1.25, 0.5, 1.5, 9, 7)],
                              ids=["interval", "rectangle"])
@@ -104,7 +111,7 @@ class TestGrids:
                 make_rectangle_grid(lo[0], lo[0] + sides[0], lo[1], lo[1] + sides[1], *sizes))
         req = FracLapRequest(grid=grid, phi=TestFunction.constant(1.0, dim=dim), s=0.5)
         for x in grid.interior_nodes():
-            assert req.check_margin(x) >= grid.margin - 1e-12
+            assert req.check_margin(x) >= grid.margin() - 1e-12
 
 
 class TestBoundaryQuadrature:
