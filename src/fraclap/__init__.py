@@ -13,8 +13,8 @@ from .discrete import (DirichletStencil, EigenDecomposition, apply_fraclap_discr
                        modal_diffusion_solve, sym_eigendecompose)
 from .domain import (BoundaryData, Grid, TestFunction,
                      boundary_quadrature, make_interval_grid, make_rectangle_grid)
-from .errors import (DegenerateExponent, FracLapError, GammaPole,
-                     MissingBoundaryData, NotPositiveDefinite, NotSymmetric)
+from .errors import (FracLapError, GammaPole, MissingBoundaryData, NotPositiveDefinite,
+                     NotSymmetric)
 from .greens import green_residual, volume_quadrature
 from .operators import (Definition, FracLapRequest, evaluate,
                         fraclap_augmented, fraclap_hypersingular, fraclap_new,
@@ -40,7 +40,6 @@ __all__ = [
     "EigenDecomposition", "DirichletStencil", "assemble_laplacian_1d", "assemble_laplacian_2d",
     "laplacian_1d_eigenvalues", "sym_eigendecompose", "matrix_fractional_power",
     "apply_fraclap_discrete", "modal_diffusion_solve",
-    "FracLapError", "GammaPole", "DegenerateExponent",
-    "MissingBoundaryData", "NotSymmetric", "NotPositiveDefinite",
+    "FracLapError", "GammaPole", "MissingBoundaryData", "NotSymmetric", "NotPositiveDefinite",
     "__version__",
 ]

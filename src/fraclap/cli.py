@@ -321,7 +321,8 @@ def _cmd_diffuse(args):
     def slices():  # one block of rows per time, so the whole output is never one string
         for t, u in zip(times, sols):
             t_text, norm_text = _fmt(t), _fmt(np.linalg.norm(u))
-            yield "\n".join(f"{t_text},{node},{_fmt(v)},{norm_text}" for node, v in enumerate(u))
+            yield "\n".join(f"{t_text},{node},{v:.17g},{norm_text}"
+                            for node, v in enumerate(u.tolist()))
     params = {"assemble": args.assemble, "s": args.s, "ic": args.ic,
               "times": times, "boundary_conditions": "homogeneous dirichlet"}
     _write_output(args, "t,node,value,norm", slices(), params)

@@ -23,6 +23,7 @@ Two decompositions share one interface (``n``, ``eigenvalues``,
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -99,10 +100,6 @@ class EigenDecomposition:
     def dense(self) -> EigenDecomposition:
         """Itself: the dense basis is already held."""
         return self
-
-    def reconstruct(self) -> np.ndarray:
-        v, lam = self.eigenvectors, self.eigenvalues
-        return (v * lam[None, :]) @ v.T
 
 
 def _sine_basis(n_interior):
@@ -234,10 +231,13 @@ def save_matrix_csv(path, matrix):
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    """The rows of a comma-separated file as a 2D array, blank lines skipped; text that is
-    not a finite number, ``#`` included, is a ValueError."""
+    """The rows of a comma-separated file as a 2D array, blank lines skipped; a file with
+    no row, or text that is not a finite number, ``#`` included, is a ValueError."""
     with open(path) as fh:
-        matrix = np.loadtxt((ln for ln in fh if ln.strip()), delimiter=",", ndmin=2, comments=None)
+        rows = (ln for ln in fh if ln.strip())
+        if (first := next(rows, None)) is None:
+            raise ValueError(f"{path}: no data, the file is empty or blank")
+        matrix = np.loadtxt(itertools.chain([first], rows), delimiter=",", ndmin=2, comments=None)
     if not np.isfinite(matrix).all():
         raise ValueError(f"{path}: entries must be finite, got NaN or infinity")
     return matrix

@@ -2,9 +2,10 @@
 
 One ``Grid`` serves both dimensions: the box's corners ``lo`` and ``hi`` and
 the nodes along each axis, ``axes``.  Evaluation points and interior nodes
-keep one margin from the boundary, ``Grid.margin()``, up to ``MARGIN_TOL``.
+keep one margin from the boundary, ``Grid.margin``, up to ``MARGIN_TOL``.
 The boundary quadrature takes the box's facets and the facet rule from
-:mod:`fraclap.quadrature`, as the Duffy fans do, and both are built once.
+:mod:`fraclap.quadrature`, as the Duffy fans do, and both are built once;
+``BoundaryData`` holds a field's traces on it, refusing NaN and infinity.
 
 A field is a ``TestFunction``, analytic or ``TestFunction.sampled``: the
 constant, affine and quadratic fields are one quadratic form, and samples one
@@ -97,26 +98,23 @@ class Grid:
         """The widest cell width over the axes."""
         return max(self.steps)
 
-    def margin(self, cells=MARGIN_CELLS):
-        """The width of ``cells`` cells; by default the margin of evaluation points."""
-        return cells * self.spacing
+    @property
+    def margin(self):
+        """The interior margin of evaluation points and interior nodes: ``MARGIN_CELLS`` cells."""
+        return MARGIN_CELLS * self.spacing
 
     @property
     def diameter(self):
         return float(np.hypot.reduce(np.subtract(self.hi, self.lo)))
 
-    @property
-    def measure(self):
-        return math.prod(hi - lo for lo, hi in zip(self.lo, self.hi))
-
     def distance_to_boundary(self, x):
         p = np.asarray(x, float).reshape(self.dim)
         return float(min(min(pk - lo, hi - pk) for pk, lo, hi in zip(p, self.lo, self.hi)))
 
-    def interior_nodes(self, margin_cells=MARGIN_CELLS):
-        """Nodes at least ``margin_cells`` cells from the boundary, up to ``MARGIN_TOL``:
+    def interior_nodes(self):
+        """Nodes at least ``margin`` from the boundary, up to ``MARGIN_TOL``:
         (N,) in 1D, (N, 2) in 2D."""
-        delta = self.margin(margin_cells) - MARGIN_TOL
+        delta = self.margin - MARGIN_TOL
         kept = [ax[(ax - lo >= delta) & (hi - ax >= delta)]
                 for lo, hi, ax in zip(self.lo, self.hi, self.axes)]
         return _public_points(_product_points(kept))
@@ -191,7 +189,6 @@ class TestFunction:
     behind them take (N, d) points.
     """
 
-    kind: str
     dim: int
     _value: object = field(repr=False)
     _gradient: object = field(repr=False)
@@ -232,18 +229,17 @@ class TestFunction:
 
     @staticmethod
     def constant(c, dim=1):
-        return _quadratic_form(f"const:{c}", np.zeros((dim, dim)), np.zeros(dim), c)
+        return _quadratic_form(np.zeros((dim, dim)), np.zeros(dim), c)
 
     @staticmethod
     def affine(gradient, offset=0.0):
         g = np.atleast_1d(np.asarray(gradient, float))
-        return _quadratic_form(f"affine:{','.join(map(str, g))},{offset}",
-                               np.zeros((len(g), len(g))), g, offset)
+        return _quadratic_form(np.zeros((len(g), len(g))), g, offset)
 
     @staticmethod
     def quadratic(dim=1):
         """Sum of squared coordinates; Laplacian is 2*dim everywhere."""
-        return _quadratic_form("quad", np.eye(dim), np.zeros(dim), 0.0)
+        return _quadratic_form(np.eye(dim), np.zeros(dim), 0.0)
 
     @staticmethod
     def gaussian_bump(center, width):
@@ -266,8 +262,7 @@ class TestFunction:
             outer = np.einsum("ij,ik->ijk", d, d) / w2 ** 2
             return (outer - np.eye(dim)[None, :, :] / w2) * val(p)[:, None, None]
 
-        return TestFunction(kind=f"gauss:{','.join(map(str, c))},{width}", dim=dim,
-                            _value=val, _gradient=grad, _laplacian=lap, _hessian=hess)
+        return TestFunction(dim=dim, _value=val, _gradient=grad, _laplacian=lap, _hessian=hess)
 
     @staticmethod
     def sine_mode(k, grid):
@@ -287,7 +282,7 @@ class TestFunction:
             return np.prod(factors[orders, :, np.arange(dim)], axis=orders.ndim - 1)
 
         return TestFunction(
-            kind=f"sine:{k}", dim=dim, _value=val,
+            dim=dim, _value=val,
             _gradient=lambda p: derivative(p, eye).T,
             _laplacian=lambda p: -np.sum(om ** 2) * val(p),
             _hessian=lambda p: derivative(p, eye[:, None] + eye[None, :]).transpose(2, 0, 1))
@@ -326,18 +321,17 @@ class TestFunction:
             f = val((p + shifts).reshape(-1, dim)).reshape(2, dim, len(p))
             return ((f[0] - f[1]) / (2 * h)).T
 
-        return TestFunction(kind="sampled:" + "x".join(map(str, shape)), dim=dim,
-                            _value=val, _gradient=grad,
+        return TestFunction(dim=dim, _value=val, _gradient=grad,
                             _laplacian=lambda p: curvature()[0](p),
                             _hessian=lambda p: curvature()[1](p))
 
 
-def _quadratic_form(kind, a, g, c):
+def _quadratic_form(a, g, c):
     """The field x·a·x + g·x + c of a symmetric (d, d) ``a``: gradient 2ax + g, Hessian 2a."""
     dim, c, hess = len(g), float(c), 2.0 * a
     lap = np.trace(hess)
     return TestFunction(
-        kind=kind, dim=dim,
+        dim=dim,
         _value=lambda p: np.einsum("ij,ij->i", p, p @ a) + p @ g + c,
         _gradient=lambda p: p @ hess + g,
         _laplacian=lambda p: np.full(len(p), lap),
@@ -412,14 +406,10 @@ def as_field(grid, phi):
 
 
 class FieldAdapter:
-    """A route's view of a field, made for each call: ``value`` and ``laplacian``
-    of (N, d) points, ``value_at``, ``gradient_at`` and ``hessian_at`` of one point.
+    """A route's view of a TestFunction, made for each call: ``value`` and ``laplacian``
+    of (N, d) points, ``value_at``, ``gradient_at`` and ``hessian_at`` of one point."""
 
-    ``phi`` is a TestFunction or nodal samples of ``grid`` (see ``as_field``).
-    """
-
-    def __init__(self, grid, phi):
-        field = as_field(grid, phi)
+    def __init__(self, field):
         self.dim = field.dim
         self.value, self.laplacian = field._value, field._laplacian
         self.gradient_at, self.hessian_at = self._at(field._gradient), self._at(field._hessian)
@@ -434,11 +424,8 @@ class FieldAdapter:
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Dirichlet and Neumann traces at the points of a boundary quadrature.
-
-    Missing entries are NaN; the augmented evaluator requires full coverage
-    of both traces and rejects anything less at evaluation time.
-    """
+    """Dirichlet and Neumann traces at the points of a boundary quadrature, both finite
+    everywhere as the augmented form needs: NaN or infinity raises ``MissingBoundaryData``."""
 
     quadrature: BoundaryQuadrature
     dirichlet: np.ndarray
@@ -448,6 +435,8 @@ class BoundaryData:
         m = len(self.quadrature)
         if len(self.dirichlet) != m or len(self.neumann) != m:
             raise ValueError("trace arrays must match the boundary quadrature size")
+        if not (np.isfinite(self.dirichlet).all() and np.isfinite(self.neumann).all()):
+            raise MissingBoundaryData("boundary traces must be finite, got NaN or infinity")
 
     @classmethod
     def from_function(cls, bq: BoundaryQuadrature, f: TestFunction) -> "BoundaryData":
@@ -460,10 +449,3 @@ class BoundaryData:
         d = np.broadcast_to(np.asarray(dirichlet, float), (len(bq),)).copy()
         n = np.broadcast_to(np.asarray(neumann, float), (len(bq),)).copy()
         return cls(quadrature=bq, dirichlet=d, neumann=n)
-
-    def require_full(self):
-        if np.isnan(self.dirichlet).any() or np.isnan(self.neumann).any():
-            raise MissingBoundaryData(
-                "augmented evaluation needs Dirichlet and Neumann traces at "
-                "every boundary quadrature point")
-        return self

@@ -16,12 +16,8 @@ class GammaPole(FracLapError, ValueError):
         super().__init__(msg)
 
 
-class DegenerateExponent(GammaPole):
-    """The kernel exponent d-2+s vanished, degenerating the normalization."""
-
-
 class MissingBoundaryData(FracLapError, ValueError):
-    """Boundary-augmented evaluation requested without full trace coverage."""
+    """Boundary-augmented evaluation without boundary data, or traces that are not finite."""
 
 
 class NotSymmetric(FracLapError, ValueError):

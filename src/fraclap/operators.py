@@ -14,6 +14,7 @@ Routes implemented, all for order s in (0, 2):
                       kernels that actually come out of the identity; the
                       ``as-printed`` variant uses exponent d+s and prefactor
                       1/h on the surface as well, for comparison studies only.
+                      Both read finite boundary traces from a ``BoundaryData``.
 
 The Hadamard finite part is computed by two-term Taylor subtraction, with
 one body for both dimensions.  The finite parts of the subtracted terms
@@ -72,16 +73,14 @@ class FracLapRequest:
 
     def __post_init__(self):
         FractionalOrder(self.s).check_pole(self.grid.dim)
-        if self.definition in (Definition.AUGMENTED, Definition.AUGMENTED_AS_PRINTED):
-            if self.boundary is None:
-                raise MissingBoundaryData(
-                    "augmented definitions require boundary data")
-            self.boundary.require_full()
+        augmented = self.definition in (Definition.AUGMENTED, Definition.AUGMENTED_AS_PRINTED)
+        if augmented and self.boundary is None:
+            raise MissingBoundaryData("augmented definitions require boundary data")
 
     def check_margin(self, x):
-        """Distance of x to the boundary; at least the grid's ``margin()`` or ValueError."""
+        """Distance of x to the boundary; at least the grid's ``margin`` or ValueError."""
         dist = self.grid.distance_to_boundary(x)
-        delta = self.grid.margin()
+        delta = self.grid.margin
         if dist < delta - MARGIN_TOL:
             raise ValueError(
                 f"evaluation point {x!r} violates the interior margin "
@@ -94,7 +93,7 @@ class FracLapRequest:
         return as_field(self.grid, self.phi)
 
     def fld(self):
-        return FieldAdapter(self.grid, self.field)
+        return FieldAdapter(self.field)
 
     def bq(self):
         if self.boundary is not None:
@@ -180,7 +179,7 @@ def surface_integral(req: FracLapRequest, x, as_printed=False) -> float:
     """
     if req.boundary is None:
         raise MissingBoundaryData("surface integral requires boundary data")
-    bd = req.boundary.require_full()
+    bd = req.boundary
     bq = bd.quadrature
     d, s = req.grid.dim, req.s
     rv, rr = _boundary_rays(bq, np.asarray(x, float).reshape(d))
@@ -199,7 +198,6 @@ def surface_integral(req: FracLapRequest, x, as_printed=False) -> float:
 def fraclap_augmented(req: FracLapRequest, x) -> float:
     """Finite part plus surface term, with the surface kernels ``req.definition`` names."""
     req.check_margin(x)
-    # the surface term first: it raises MissingBoundaryData before the volume work
     as_printed = req.definition is Definition.AUGMENTED_AS_PRINTED
     return surface_integral(req, x, as_printed=as_printed) + _finite_part_volume(req, x)
 

@@ -106,7 +106,6 @@ class GradedPanels:
     nodes: np.ndarray
     weights: np.ndarray
     dist: np.ndarray
-    fan_jac: np.ndarray                # (F,) |det| of each Duffy fan the rule sums over
 
     def integrate_kernel(self, f=1.0) -> float:
         """Integrate f(xi) * r^p: f a callable of the nodes, values at them, or a constant."""
@@ -157,7 +156,7 @@ def _graded_rule(lo, hi, x, power, radial_order, order):
     pos = x + u[None, :, None, None] * chords[:, None]     # (F, nu, nv, d)
     w = jac[:, None, None] * wu[:, None] * (wv * clen ** power)[:, None, :]
     r = u[:, None] * clen[:, None, :]
-    return GradedPanels(nodes=pos.reshape(-1, d), weights=w.ravel(), dist=r.ravel(), fan_jac=jac)
+    return GradedPanels(nodes=pos.reshape(-1, d), weights=w.ravel(), dist=r.ravel())
 
 
 def graded_quadrature_rule(domain, singular_point, power=0.0, radial_order=DEFAULT_RADIAL_ORDER,

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .domain import FieldAdapter, _public_points, as_field
+from .domain import _public_points, as_field
 from .quadrature import (DEFAULT_GAUSS_ORDER, DEFAULT_RADIAL_ORDER, GradedPanels,
                          graded_quadrature_rule)
 from .special import ConstantMode, riesz_constant
@@ -57,7 +57,7 @@ class PotentialRequest:
 
     def field_values(self):
         """Callable evaluating phi at (N, dim) points."""
-        return FieldAdapter(self.grid, self.field).value
+        return self.field._value
 
 
 def _eval_points(req):

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DegenerateExponent, GammaPole
+from .errors import GammaPole
 
 __all__ = [
     "ConstantMode",
@@ -54,8 +54,8 @@ def gamma_ln(x: float) -> float:
     return math.lgamma(x)
 
 
-def _near_nonpositive_integer(x, tol=_POLE_TOL):
-    return x < tol and abs(x - round(x)) < tol
+def _near_nonpositive_integer(x):
+    return x < _POLE_TOL and abs(x - round(x)) < _POLE_TOL
 
 
 def gamma_value(x: float, context: str = "") -> float:
@@ -79,11 +79,6 @@ class FractionalOrder:
         if not 0.0 < self.s < 2.0:
             raise ValueError(f"fractional order must satisfy 0 < s < 2, got {self.s!r}")
 
-    @property
-    def sigma(self) -> float:
-        """The companion potential order 2 - s."""
-        return 2.0 - self.s
-
     def check_pole(self, d: int) -> "FractionalOrder":
         """Reject (d, s) combinations where (d-2+s)/2 hits a gamma pole."""
         arg = (d - 2.0 + self.s) / 2.0
@@ -106,10 +101,7 @@ def riesz_constant(d: int, sigma: float, mode: ConstantMode = ConstantMode.PAPER
 
 def h_constant(d: int, s: float, mode: ConstantMode = ConstantMode.PAPER) -> float:
     """The surface-term constant h; satisfies 1/h = c(d, 2-s) (d-2+s) s."""
-    order = FractionalOrder(s)
-    if abs(d - 2.0 + s) < _POLE_TOL:
-        raise DegenerateExponent((d - 2.0 + s) / 2.0, f"d-2+s with d={d}, s={s}")
-    order.check_pole(d)
+    FractionalOrder(s).check_pole(d)  # also rejects d - 2 + s = 0, at the pole of (d-2+s)/2
     num_gamma = gamma_value((2.0 - s) / 2.0)
     p = (2.0 - s) / 2.0 if mode is ConstantMode.PAPER else d / 2.0
     num = math.pi ** p * 2.0 ** (2.0 - s) * num_gamma

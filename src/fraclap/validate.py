@@ -100,7 +100,7 @@ def _suite_riesz():
         ra = riesz_potential_point(PotentialRequest(grid=grid, phi=bump, sigma=0.6), x)
         rb = riesz_potential_point(PotentialRequest(grid=grid, phi=quad, sigma=0.6), x)
         combo = TestFunction(
-            kind="combo", dim=1,
+            dim=1,
             _value=lambda p: 2.0 * bump._value(p) - 0.5 * quad._value(p),
             _gradient=lambda p: 2.0 * bump._gradient(p) - 0.5 * quad._gradient(p),
             _laplacian=lambda p: 2.0 * bump._laplacian(p) - 0.5 * quad._laplacian(p),

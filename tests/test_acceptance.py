@@ -170,7 +170,7 @@ def test_07_green_residual():
         c = np.asarray(c, float)
         dc, d2c = np.polyder(c), np.polyder(np.polyder(c))
         return TestFunction(
-            kind="p", dim=1,
+            dim=1,
             _value=lambda p: np.polyval(c, p[:, 0]),
             _gradient=lambda p: np.polyval(dc, p[:, 0]).reshape(-1, 1),
             _laplacian=lambda p: np.polyval(d2c, p[:, 0]),

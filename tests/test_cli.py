@@ -160,15 +160,29 @@ class TestExitCodes:
         assert str(path) in captured.err and "finite" in captured.err
         assert captured.out == ""
 
-    @pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
-    def test_empty_matrix_file_is_three_and_empty_vector_two(self, tmp_path, capsys):
+    @pytest.mark.parametrize("trace", ["--dirichlet", "--neumann"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_boundary_trace_is_two(self, capsys, trace, bad):
+        traces = {"--dirichlet": "0.5", "--neumann": "0", trace: bad}
+        argv = ["fraclap", "--d", "1", "--domain", "0,1", "--s", "0.5", "--def", "augmented",
+                "--func", "quad", "--points", "0.5", *(f"{k}={v}" for k, v in traces.items())]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "MissingBoundaryData" in captured.err and "finite" in captured.err
+        assert captured.out == ""
+
+    def test_empty_csv_is_two(self, tmp_path):
+        # an empty file is malformed input, named on stderr, with no numpy warning
         path = tmp_path / "empty.csv"
         path.write_text("")
-        assert cli.main(["matpow", "--matrix", str(path), "--s", "1.0"]) == 3
-        assert "NotSymmetric" in capsys.readouterr().err
-        assert cli.main(["matpow", "--assemble", "1d:4,1", "--s", "1.0",
-                         "--apply", str(path)]) == 2
-        assert "does not match" in capsys.readouterr().err
+        for argv in (["matpow", "--matrix", str(path), "--s", "1.0"],
+                     ["matpow", "--assemble", "1d:4,1", "--s", "1.0", "--apply", str(path)],
+                     ["diffuse", "--assemble", "1d:4,1", "--s", "1.0", "--times", "0,0.1",
+                      "--ic", "file:" + str(path)]):
+            r = run_cli(*argv)
+            assert r.returncode == 2, r.stderr
+            assert str(path) in r.stderr and "no data" in r.stderr
+            assert "Warning" not in r.stderr and r.stdout == ""
 
     @pytest.mark.parametrize("text", ["1,2\n3\n", "1,x\nx,1\n", "1,2,\n2,1,\n",
                                       "1,2 # x\n2,1\n", "1,2#,3\n2,1\n"],

@@ -13,7 +13,7 @@ from scipy.interpolate import RegularGridInterpolator
 
 import fraclap
 from fraclap import domain
-from fraclap.domain import (BoundaryData, FieldAdapter, Grid, TestFunction,
+from fraclap.domain import (BoundaryData, Grid, TestFunction,
                             boundary_quadrature, make_interval_grid, make_rectangle_grid)
 from fraclap.errors import MissingBoundaryData
 from fraclap.operators import Definition, FracLapRequest, evaluate
@@ -26,7 +26,7 @@ class TestGrids:
         assert g.dim == 1
         assert g.spacing == pytest.approx(0.5)
         assert g.diameter == pytest.approx(2.0)
-        assert g.measure == pytest.approx(2.0)
+        assert g.margin == pytest.approx(1.0)  # two cells
         np.testing.assert_allclose(g.nodes, [0.0, 0.5, 1.0, 1.5, 2.0])
 
     def test_interval_validation(self):
@@ -38,9 +38,9 @@ class TestGrids:
     def test_rectangle_basics(self):
         g = make_rectangle_grid(0.0, 2.0, -1.0, 1.0, 5, 9)
         assert g.dim == 2
-        assert g.measure == pytest.approx(4.0)
         assert g.diameter == pytest.approx(np.hypot(2.0, 2.0))
         assert g.spacing == pytest.approx(0.5)
+        assert g.margin == pytest.approx(1.0)  # two of the wider cells
 
     def test_rectangle_validation(self):
         with pytest.raises(ValueError):
@@ -57,16 +57,17 @@ class TestGrids:
 
     def test_interior_nodes_margin(self):
         g = make_interval_grid(0.0, 1.0, 11)
-        inner = g.interior_nodes(margin_cells=2)
+        inner = g.interior_nodes()
         assert inner.min() >= 0.2 - 1e-12
         assert inner.max() <= 0.8 + 1e-12
         assert len(inner) == 7
 
     def test_interior_nodes_2d(self):
-        g = make_rectangle_grid(0, 1, 0, 1, 5, 5)
-        inner = g.interior_nodes(margin_cells=1)
-        assert inner.shape == (9, 2)
+        g = make_rectangle_grid(0, 1, 0, 1, 9, 9)
+        inner = g.interior_nodes()
+        assert inner.shape == (25, 2)
         assert inner.min() >= 0.25 - 1e-12
+        assert inner.max() <= 0.75 + 1e-12
 
     def test_factories_make_one_grid_type(self):
         g1 = make_interval_grid(0, 2, 5)
@@ -94,7 +95,7 @@ class TestGrids:
         misses = box_facets.cache_info().misses
         # the boundary rule and every volume rule on the box read the same table
         boundary_quadrature(grid)
-        for x in grid.interior_nodes(margin_cells=1):
+        for x in grid.interior_nodes():
             graded_quadrature_rule(grid, x, -0.5)
         assert box_facets.cache_info().misses == misses
         again = box_facets(grid.lo, grid.hi)
@@ -111,7 +112,7 @@ class TestGrids:
                 make_rectangle_grid(lo[0], lo[0] + sides[0], lo[1], lo[1] + sides[1], *sizes))
         req = FracLapRequest(grid=grid, phi=TestFunction.constant(1.0, dim=dim), s=0.5)
         for x in grid.interior_nodes():
-            assert req.check_margin(x) >= grid.margin() - 1e-12
+            assert req.check_margin(x) >= grid.margin - 1e-12
 
 
 class TestBoundaryQuadrature:
@@ -162,7 +163,8 @@ class TestBoundaryQuadrature:
         np.testing.assert_allclose(bq.weights @ nrm, 0.0, atol=1e-13 * boundary_measure)
         # divergence theorem for F = x: div F = d
         assert bq.weights @ np.sum(pts * nrm, axis=1) == pytest.approx(
-            dim * grid.measure, rel=1e-13, abs=1e-13 * scale * boundary_measure)
+            dim * np.prod(np.subtract(grid.hi, grid.lo)), rel=1e-13,
+            abs=1e-13 * scale * boundary_measure)
         assert np.sum(bq.weights) == pytest.approx(boundary_measure, rel=1e-13)
 
 
@@ -289,7 +291,7 @@ class TestSampledField:
         ])
         ref = RegularGridInterpolator((grid.x_nodes, grid.y_nodes), values, method="linear",
                                       bounds_error=False, fill_value=None)
-        np.testing.assert_allclose(FieldAdapter(grid, values).value(pts), ref(pts),
+        np.testing.assert_allclose(TestFunction.sampled(grid, values).value(pts), ref(pts),
                                    rtol=0, atol=4e-15)
 
     @settings(deadline=None, max_examples=60)
@@ -420,13 +422,20 @@ class TestBoundaryData:
     def test_from_values_broadcast(self):
         bq = boundary_quadrature(make_interval_grid(0, 1, 5))
         bd = BoundaryData.from_values(bq, 1.0, 0.0)
-        assert bd.require_full() is bd
+        np.testing.assert_array_equal(bd.dirichlet, [1.0, 1.0])
+        np.testing.assert_array_equal(bd.neumann, [0.0, 0.0])
 
-    def test_require_full_rejects_nan(self):
-        bq = boundary_quadrature(make_interval_grid(0, 1, 5))
-        bd = BoundaryData.from_values(bq, [1.0, np.nan], 0.0)
-        with pytest.raises(MissingBoundaryData):
-            bd.require_full()
+    @pytest.mark.parametrize("trace", ["dirichlet", "neumann"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_traces_rejected(self, bad, trace):
+        # the augmented form needs both traces finite at every point: refused when built
+        bq = boundary_quadrature(make_rectangle_grid(0, 1, 0, 1, 5, 5))
+        traces = {"dirichlet": np.ones(len(bq)), "neumann": np.zeros(len(bq))}
+        traces[trace][3] = bad
+        with pytest.raises(MissingBoundaryData, match="finite"):
+            BoundaryData(quadrature=bq, **traces)
+        with pytest.raises(MissingBoundaryData, match="finite"):
+            BoundaryData.from_values(bq, **{"dirichlet": 1.0, "neumann": 0.0, trace: bad})
 
     def test_size_mismatch(self):
         bq = boundary_quadrature(make_interval_grid(0, 1, 5))

@@ -12,7 +12,7 @@ def _poly_1d(coeffs):
     dc = np.polyder(c)
     d2c = np.polyder(dc)
     return TestFunction(
-        kind=f"poly:{list(c)}", dim=1,
+        dim=1,
         _value=lambda p: np.polyval(c, p[:, 0]),
         _gradient=lambda p: np.polyval(dc, p[:, 0]).reshape(-1, 1),
         _laplacian=lambda p: np.polyval(d2c, p[:, 0]),
@@ -44,8 +44,7 @@ def _poly_2d(cx, cy):
         h[:, 0, 1] = h[:, 1, 0] = np.polyval(dcx, p[:, 0]) * np.polyval(dcy, p[:, 1])
         return h
 
-    return TestFunction(kind="poly2d", dim=2, _value=val, _gradient=grad,
-                        _laplacian=lap, _hessian=hess)
+    return TestFunction(dim=2, _value=val, _gradient=grad, _laplacian=lap, _hessian=hess)
 
 
 class TestVolumeQuadrature:
@@ -107,7 +106,7 @@ class TestErrorHandling:
     def test_non_finite_field_rejected(self):
         grid = make_interval_grid(0.0, 1.0, 9)
         bad = TestFunction(
-            kind="bad", dim=1,
+            dim=1,
             _value=lambda p: np.full(len(p), np.nan),
             _gradient=lambda p: np.zeros((len(p), 1)),
             _laplacian=lambda p: np.zeros(len(p)),

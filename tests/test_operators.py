@@ -69,7 +69,7 @@ class TestPotentialOfLaplacianForm:
         grid = make_interval_grid(0.0, 1.0, 21)
         f = TestFunction.gaussian_bump([0.5], 0.2)
         scaled = TestFunction(
-            kind="scaled", dim=1,
+            dim=1,
             _value=lambda p: 3.0 * f.value(p[:, 0]),
             _gradient=lambda p: 3.0 * np.atleast_2d(f.gradient(p[:, 0])).T,
             _laplacian=lambda p: 3.0 * f.laplacian(p[:, 0]),

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fraclap.quadrature import _radial_rule, gauss_panel, graded_quadrature_rule
+from fraclap.quadrature import _radial_rule, box_facets, gauss_panel, graded_quadrature_rule
 
 
 def _polar_square_oracle(rect, xs, alpha):
@@ -180,7 +180,9 @@ class TestGradedRuleFans:
         rule = graded_quadrature_rule(bounds, x, radial_order=radial_order,
                                       gauss_order=gauss_order)
         assert np.sum(rule.weights) == pytest.approx(measure, rel=1e-13)
-        fan_measure = sum(rule.fan_jac) / math.factorial(dim)
+        # the fans from x over the box's facets, a simplex each, add up to the box
+        verts, _ = box_facets(tuple(bounds[0::2]), tuple(bounds[1::2]))
+        fan_measure = np.abs(np.linalg.det(verts - x)).sum() / math.factorial(dim)
         assert fan_measure == pytest.approx(measure, rel=1e-13)
 
     @settings(deadline=None, max_examples=50)

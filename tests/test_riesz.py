@@ -57,7 +57,7 @@ class TestProperties:
                 PotentialRequest(grid=grid, phi=phi, sigma=sigma), x)
 
         fg = TestFunction(
-            kind="combo", dim=1,
+            dim=1,
             _value=lambda p: 2.0 * f.value(p[:, 0]) - 3.0 * g.value(p[:, 0]),
             _gradient=None, _laplacian=None, _hessian=None)
         assert pot(fg) == pytest.approx(2.0 * pot(f) - 3.0 * pot(g), rel=1e-12)
