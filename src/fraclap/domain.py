@@ -62,12 +62,14 @@ def _axis_alias(name, dim, k):
     return property(get)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Grid:
     """Uniform tensor-product grid on the box [lo, hi]: an interval or a rectangle.
 
     ``lo`` and ``hi`` are the box's corners as tuples of floats, one entry
     per axis, and ``axes`` the nodes along each axis, both ends included.
+    Grids compare and hash by identity, since field-wise equality would
+    compare the node arrays; tables shared per box key on ``(lo, hi)``.
     """
 
     lo: tuple

@@ -313,6 +313,73 @@ class TestDiffuse:
         assert [int(line.split(",")[1]) for line in lines[1:-1]] == list(range(1600)) * 3
 
 
+class TestBlockWriter:
+    """Blocks formatted by one ``%`` pass carry the bytes of per-value ``.17g`` text."""
+
+    ADVERSARIAL = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-5, 0.1, 1 / 3, 1.0,
+                   2.0 ** 53, 1e16, 1.7976931348623157e308, -123.456]
+
+    @pytest.mark.parametrize("sep", [",", "\n"])
+    def test_template_matches_per_value_text(self, sep):
+        vals = self.ADVERSARIAL
+        text = cli._doubles(len(vals), sep) % tuple(vals)
+        assert text == sep.join(f"{v:.17g}" for v in vals)
+        assert [float(t) for t in text.split(sep)] == vals
+
+    @staticmethod
+    def _run(capsys, *argv):
+        assert cli.main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    @staticmethod
+    def _assert_round_trip(text, rows, columns):
+        """Every value field of ``text`` parses back to the library's double."""
+        fields = [line.split(",") for line in text.splitlines()[1:]]
+        parsed = [[float(f[c]) for c in columns] for f in fields]
+        assert parsed == [[row[c] for c in columns] for row in rows]
+
+    @pytest.mark.parametrize("ic", ["point:7", "sine:2"])
+    def test_diffuse_matches_row_by_row_text(self, capsys, ic):
+        s, times = 0.8, [0.0, 1e-3, 0.25]
+        stencil = discrete.DirichletStencil((6, 5), (1.0, 1.5))
+        if ic == "point:7":
+            u0 = np.zeros(stencil.n)
+            u0[7] = 1.0
+        else:
+            u0 = np.kron(np.sin(2 * np.pi * np.arange(1, 7) / 7),
+                         np.sin(2 * np.pi * np.arange(1, 6) / 6))
+        rows = [(t, node, v, np.linalg.norm(u))
+                for t, u in zip(times, discrete.modal_diffusion_solve(stencil, s, u0, times))
+                for node, v in enumerate(u)]
+        expected = "t,node,value,norm\n" + "".join(
+            f"{t:.17g},{node},{v:.17g},{norm:.17g}\n" for t, node, v, norm in rows)
+        text = self._run(capsys, "diffuse", "--assemble", "2d:6,5,1,1.5", "--s", str(s),
+                         "--ic", ic, "--times", ",".join(map(str, times)))
+        assert text == expected
+        if ic == "point:7":
+            assert "\n0,0,-0," in text  # the transform round trip leaves signed zeros at t = 0
+        self._assert_round_trip(text, rows, [0, 2, 3])
+
+    def test_apply_matches_row_by_row_text(self, tmp_path, capsys):
+        vec = np.random.default_rng(7).standard_normal(8) * 10.0 ** np.arange(-200, 200, 50)
+        path = tmp_path / "v.csv"
+        discrete.save_matrix_csv(path, vec.reshape(-1, 1))
+        out = discrete.apply_fraclap_discrete(discrete.DirichletStencil((8,), (1.0,)), 1.3,
+                                              discrete.load_matrix_csv(path).reshape(-1))
+        text = self._run(capsys, "matpow", "--assemble", "1d:8,1", "--s", "1.3",
+                         "--apply", str(path))
+        assert text == "value\n" + "".join(f"{v:.17g}\n" for v in out)
+        self._assert_round_trip(text, out.reshape(-1, 1), [0])
+
+    def test_dense_power_matches_row_by_row_text(self, capsys):
+        power = discrete.matrix_fractional_power(
+            discrete.DirichletStencil((8,), (1.0,)).dense(), 0.3)
+        text = self._run(capsys, "matpow", "--assemble", "1d:8,1", "--s", "0.6")
+        assert text == (",".join(f"c{j}" for j in range(8)) + "\n" + "".join(
+            ",".join(f"{v:.17g}" for v in row) + "\n" for row in power))
+        self._assert_round_trip(text, power, range(8))
+
+
 class TestReproducibility:
     def test_bit_identical_reruns(self, tmp_path):
         args = ("fraclap", "--d", "1", "--domain", "0,1", "--s", "0.5",

@@ -79,6 +79,18 @@ class TestGrids:
         assert g2.x_nodes is g2.axes[0] and g2.y_nodes is g2.axes[1]
         np.testing.assert_array_equal(g2.y_nodes, np.linspace(-1.0, 1.0, 9))
 
+    @pytest.mark.parametrize("make", [lambda: make_interval_grid(0, 1, 5),
+                                      lambda: make_rectangle_grid(0, 1, 0, 2, 5, 7)],
+                             ids=["interval", "rectangle"])
+    def test_grids_compare_and_hash_by_identity(self, make):
+        # field-wise equality would compare the node arrays and raise
+        a, b = make(), make()
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert a in [b, a] and b not in [a]
+        table = {a: "a", b: "b"}
+        assert table[a] == "a" and table[b] == "b" and hash(a) == hash(a)
+
     def test_aliases_hold_on_their_own_dimension_only(self):
         g1 = make_interval_grid(0, 2, 5)
         g2 = make_rectangle_grid(0.0, 2.0, -1.0, 1.0, 5, 9)
