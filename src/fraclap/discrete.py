@@ -8,7 +8,11 @@ lambda_i^(s/2).
 
 Two decompositions share one interface (``n``, ``eigenvalues``,
 ``to_modes``, ``from_modes``, ``dense``), so ``apply_fraclap_discrete`` and
-``modal_diffusion_solve`` take either:
+``modal_diffusion_solve`` take either.  ``to_modes`` and ``from_modes`` take
+a vector ``(n,)`` or a block ``(k, n)`` of k vectors, one per row, and
+transform the whole block in one pass; each row of a block gets the bits of
+its own single-vector call for ``DirichletStencil``, and agrees to round-off
+(a matrix product in place of a matrix-vector one) for ``EigenDecomposition``.
 
 - ``EigenDecomposition`` holds the dense eigenvectors of any SPD matrix,
   from ``sym_eigendecompose`` (``numpy.linalg.eigh``, O(n^3)).
@@ -92,14 +96,22 @@ class EigenDecomposition:
         return len(self.eigenvalues)
 
     def to_modes(self, p):
-        return self.eigenvectors.T @ p
+        return _vectors(p, self.n) @ self.eigenvectors
 
     def from_modes(self, c):
-        return self.eigenvectors @ c
+        return _vectors(c, self.n) @ self.eigenvectors.T
 
     def dense(self) -> EigenDecomposition:
         """Itself: the dense basis is already held."""
         return self
+
+
+def _vectors(p, n):
+    """``p`` as a float vector ``(n,)`` or block ``(k, n)``; any other shape is a ValueError."""
+    p = np.asarray(p, float)
+    if p.ndim not in (1, 2) or p.shape[-1] != n:
+        raise ValueError(f"expected a vector ({n},) or a block (k, {n}), got shape {p.shape}")
+    return p
 
 
 def _sine_basis(n_interior):
@@ -140,15 +152,17 @@ class DirichletStencil:
         return functools.reduce(np.add.outer, axes).ravel()
 
     def to_modes(self, p):
-        c = np.reshape(np.asarray(p, float), self.shape)
-        for axis, n in enumerate(self.shape):
+        p = _vectors(p, self.n)
+        lead = p.shape[:-1]
+        c = p.reshape(lead + self.shape)
+        for axis, n in enumerate(self.shape, start=len(lead)):
             # the sine coefficients of the odd extension (0, c, 0, -reversed c)
             # along the axis are the imaginary part of its real FFT
             zero = np.zeros_like(c.take([0], axis))
             odd = np.concatenate([zero, c, zero, -np.flip(c, axis)], axis=axis)
             sines = np.fft.rfft(odd, axis=axis).imag.take(np.arange(1, n + 1), axis)
             c = sines * -math.sqrt(0.5 / (n + 1))
-        return c.ravel()
+        return c.reshape(p.shape)
 
     from_modes = to_modes
 
@@ -193,12 +207,10 @@ def matrix_fractional_power(eig: EigenDecomposition, alpha: float) -> np.ndarray
 
 def apply_fraclap_discrete(eig: EigenDecomposition | DirichletStencil, s: float,
                            p: np.ndarray) -> np.ndarray:
-    """K^(s/2) p through the decomposition, without forming the power matrix."""
+    """K^(s/2) p through the decomposition, without forming the power matrix; ``p`` is
+    a vector ``(n,)`` or a block ``(k, n)`` of vectors, one per row."""
     if not 0.0 < s <= 2.0:
         raise ValueError(f"order must lie in (0, 2], got {s!r}")
-    p = np.asarray(p, float)
-    if p.shape != (eig.n,):
-        raise ValueError(f"vector length {p.shape} does not match order {eig.n}")
     return eig.from_modes(eig.eigenvalues ** (s / 2.0) * eig.to_modes(p))
 
 

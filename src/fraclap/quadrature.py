@@ -149,9 +149,10 @@ def _graded_rule(lo, hi, x, power, radial_order, order):
     bary, wv = facet_rule(d, _ANGULAR_PANELS, order)
     rel = verts - x                                        # (F, d, d)
     jac = np.abs(np.linalg.det(rel))
-    keep = jac >= 1e-30  # a facet through x spans no volume
+    keep = jac > 0.0 if d == 1 else jac >= 1e-30  # a facet through x spans no volume
     jac, chords = jac[keep], bary @ rel[keep]              # (F,), (F, nv, d)
-    clen = np.sqrt(np.sum(chords * chords, axis=2))        # (F, nv)
+    # |c| in 1D, so that a chord down to the smallest subnormal neither under- nor overflows
+    clen = np.abs(chords[..., 0]) if d == 1 else np.sqrt(np.sum(chords * chords, axis=2))
     u, wu = _radial_rule(d - 1.0 + power, radial_order)
     pos = x + u[None, :, None, None] * chords[:, None]     # (F, nu, nv, d)
     w = jac[:, None, None] * wu[:, None] * (wv * clen ** power)[:, None, :]
@@ -167,6 +168,11 @@ def graded_quadrature_rule(domain, singular_point, power=0.0, radial_order=DEFAU
     (a1, b1, a2, b2) in 2D.  ``power`` must exceed -d for the kernel to be
     integrable, and a ``ValueError`` says so otherwise; the default 0 gives
     a plain volume rule.
+
+    A point however close to an interval's endpoint keeps that endpoint's fan.
+    In 2D the fan over an edge is dropped when its |det| is below 1e-30, as
+    the round-off of a point on that edge; a point that near an edge but off
+    it loses the thin fan's share of the integral.
     """
     if radial_order < 1:
         raise ValueError(f"radial order must be >= 1, got {radial_order!r}")

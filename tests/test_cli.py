@@ -1,6 +1,7 @@
 """Black-box tests of the batch command-line front end."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -216,6 +217,24 @@ class TestMatpow:
         assert report["pass"] is False
         assert report["measured"] == pytest.approx(1e-3, rel=1e-6)
 
+    @pytest.mark.parametrize("spec, shape, lengths", [("1d:30,1", (30,), (1.0,)),
+                                                      ("2d:7,9,1,2", (7, 9), (1.0, 2.0))])
+    @pytest.mark.parametrize("s", [0.3, 1.5, 2.0])
+    def test_check_semigroup_matches_per_vector_reference(self, capsys, spec, shape, lengths,
+                                                          s):
+        # the block check reports the bits of nine single-vector applications
+        op = discrete.DirichletStencil(shape, lengths)
+        measured = 0.0
+        for v in np.random.default_rng(0).standard_normal((3, op.n)):
+            half = discrete.apply_fraclap_discrete(op, s / 2.0, v)
+            twice = discrete.apply_fraclap_discrete(op, s / 2.0, half)
+            full = discrete.apply_fraclap_discrete(op, s, v)
+            measured = max(measured, float(np.linalg.norm(twice - full) / np.linalg.norm(full)))
+        assert cli.main(["matpow", "--assemble", spec, "--s", str(s), "--check", "semigroup"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report == {"check": "semigroup", "measured": measured, "tolerance": 1e-8,
+                          "pass": True}
+
     def test_check_spectral(self):
         r = run_cli("matpow", "--assemble", "1d:12,1", "--s", "0.7",
                     "--check", "spectral")
@@ -311,6 +330,55 @@ class TestDiffuse:
         lines = text.split("\n")
         assert lines[0] == "t,node,value,norm" and lines[-1] == ""
         assert [int(line.split(",")[1]) for line in lines[1:-1]] == list(range(1600)) * 3
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_norm_of_huge_values_is_finite(self, tmp_path, capsys):
+        # squares of values past about 1e154 overflow; the norm is scaled there only
+        u0 = np.random.default_rng(5).standard_normal(30) * 10.0 ** np.linspace(0.0, 300.0, 30)
+        path = tmp_path / "ic.csv"
+        discrete.save_matrix_csv(path, u0.reshape(-1, 1))
+        assert cli.main(["diffuse", "--assemble", "1d:30,1", "--s", "0.7",
+                         "--ic", f"file:{path}", "--times", "0,1e-4"]) == 0
+        rows = np.loadtxt(capsys.readouterr().out.splitlines()[1:], delimiter=",")
+        for block in rows.reshape(2, 30, 4):
+            norm = block[:, 3]
+            assert np.all(norm == norm[0])
+            assert norm[0] == pytest.approx(math.hypot(*block[:, 2]), rel=1e-14)
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process; no call leaves state in it."""
+
+    def test_calls_in_one_process_match_fresh_processes(self, tmp_path, capsys):
+        vec, out = tmp_path / "v.csv", str(tmp_path / "d.csv")
+        discrete.save_matrix_csv(vec, np.linspace(1.0, 2.0, 8).reshape(-1, 1))
+        fraclap_args = ["fraclap", "--d", "1", "--domain", "0,1", "--s", "0.5",
+                        "--func", "quad", "--points", "0.5"]
+        diffuse_args = ["diffuse", "--assemble", "1d:6,1", "--s", "0.8", "--ic", "sine:1",
+                        "--times", "0,1e-3"]
+        sequence = [
+            [*fraclap_args, "--def", "new", "--def", "augmented", "--bc-from-func"],
+            fraclap_args,  # the earlier --def values must not linger
+            ["matpow", "--assemble", "1d:8,1", "--s", "0.6", "--check", "semigroup"],
+            ["matpow", "--assemble", "1d:8,1", "--s", "0.6", "--apply", str(vec)],
+            [*diffuse_args, "--out", out],
+            diffuse_args,  # nor the earlier --out
+        ]
+        runs = []
+        for argv in sequence:
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            written = open(out).read() if "--out" in argv else None
+            runs.append((code, captured.out, captured.err, written))
+        assert runs[1][0] == 2 and "at least one --def" in runs[1][2]
+        assert runs[3][0] == 0 and runs[3][1].startswith("value\n")
+        assert runs[5][1] == runs[4][3] and runs[4][1] == ""
+        for argv, (code, stdout, stderr, written) in zip(sequence, runs):
+            r = run_cli(*argv)
+            assert (code, stdout, stderr) == (r.returncode, r.stdout, r.stderr)
+            if written is not None:
+                assert open(out).read() == written
 
 
 class TestBlockWriter:

@@ -250,6 +250,45 @@ def test_transform_is_the_orthonormal_dst1(shape):
     assert np.linalg.norm(stencil.from_modes(got) - p) <= 1e-15 * np.linalg.norm(p)
 
 
+class TestBlockTransforms:
+    """A (k, n) block of vectors, one per row, transformed in one pass."""
+
+    @pytest.mark.parametrize("shape", [(2,), (40,), (7, 9), (40, 40)])
+    def test_stencil_block_is_bitwise_row_by_row(self, shape):
+        stencil = DirichletStencil(shape, (1.0, 2.0)[:len(shape)])
+        block = np.random.default_rng(11).standard_normal((3, stencil.n))
+        for transform in (stencil.to_modes, stencil.from_modes):
+            got = transform(block)
+            assert got.shape == block.shape
+            assert np.array_equal(got, np.stack([transform(p) for p in block]))
+        assert np.array_equal(apply_fraclap_discrete(stencil, 0.7, block),
+                              np.stack([apply_fraclap_discrete(stencil, 0.7, p) for p in block]))
+
+    @pytest.mark.parametrize("n", [50, 400])
+    def test_eigendecomposition_block_matches_row_by_row(self, n):
+        eig = sym_eigendecompose(assemble_laplacian_1d(n, 1.0))
+        v = eig.eigenvectors
+        block = np.random.default_rng(12).standard_normal((3, n))
+        for transform in (eig.to_modes, eig.from_modes):
+            rows = np.stack([transform(p) for p in block])
+            assert _gap(transform(block), rows) <= 1e-14
+        # a single vector keeps the bits of the column form
+        assert np.array_equal(eig.to_modes(block[0]), v.T @ block[0])
+        assert np.array_equal(eig.from_modes(block[0]), v @ block[0])
+
+    @pytest.mark.parametrize("op", [DirichletStencil((4, 3), (1.0, 1.0)),
+                                    sym_eigendecompose(assemble_laplacian_2d(4, 3, 1.0, 1.0))],
+                             ids=["stencil", "eigh"])
+    @pytest.mark.parametrize("bad", [(2, 7), (2, 24), (2, 3, 12), ()], ids=str)
+    def test_wrong_block_shape_is_a_value_error(self, op, bad):
+        # (2, 24) holds 4 x 12 values: a reshape alone would accept it
+        p = np.zeros(bad)
+        for call in (op.to_modes, op.from_modes,
+                     lambda p: apply_fraclap_discrete(op, 1.0, p)):
+            with pytest.raises(ValueError, match=r"a block \(k, 12\)"):
+                call(p)
+
+
 class TestDirichletStencilValidation:
     @pytest.mark.parametrize("shape, lengths, match", [
         ((1,), (1.0,), "at least 2 interior nodes"),

@@ -185,6 +185,14 @@ class TestGradedRuleFans:
         fan_measure = np.abs(np.linalg.det(verts - x)).sum() / math.factorial(dim)
         assert fan_measure == pytest.approx(measure, rel=1e-13)
 
+    # points nearer an endpoint than 1e-30, down to the smallest subnormal: the
+    # endpoint's fan holds (x - a)^(1-alpha)/(1-alpha), 5.8e-6 of the whole at 1.6e-84
+    @example(box=((0.0, 1.0), (1.6e-84,)), alpha=0.9375, radial_order=4, gauss_order=4)
+    @example(box=((0.0, 1.0), (1e-300,)), alpha=0.95, radial_order=4, gauss_order=4)
+    @example(box=((0.0, 1.0), (5e-324,)), alpha=0.95, radial_order=32, gauss_order=8)
+    @example(box=((-1.0, 0.0), (-1e-300,)), alpha=0.9, radial_order=8, gauss_order=4)
+    @example(box=((-5e-324, 2.0), (0.0,)), alpha=0.95, radial_order=16, gauss_order=4)
+    @pytest.mark.filterwarnings("error")
     @settings(deadline=None, max_examples=50)
     @given(box=_boxes_and_points(1), alpha=st.floats(0.05, 0.95), **_RULE_PARAMS)
     def test_interval_kernel_closed_form(self, box, alpha, radial_order, gauss_order):
