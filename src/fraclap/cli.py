@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import sys
 
@@ -50,9 +51,14 @@ def _doubles(n, sep):
     return sep.join(["%.17g"] * n)
 
 
-def _coords(p):
-    """A point's CSV fields: one coordinate in 1D, two in 2D."""
-    return ",".join(_fmt(c) for c in np.atleast_1d(p))
+def _matrix_rows(m):
+    """The CSV lines of a 2D array, one ``%`` pass per row.
+
+    Every table goes through here: ``potential`` and ``fraclap`` pass their
+    points beside their value columns, ``matpow`` the dense power.
+    """
+    row = _doubles(m.shape[1], ",")
+    return [row % tuple(r) for r in m.tolist()]
 
 
 def _write_output(args, header, rows, extra_params):
@@ -154,9 +160,9 @@ def _cmd_potential(args):
     req = PotentialRequest(grid=grid, phi=phi, sigma=args.sigma,
                            eval_points=_eval_points(args, grid),
                            mode=ConstantMode.parse(args.constant), rule=_rule(args))
-    results = riesz_potential_field(req)
+    values = [v for _, v in riesz_potential_field(req)]
     header = "x,value" if grid.dim == 1 else "x,y,value"
-    rows = [_coords(p) + "," + _fmt(v) for p, v in results]
+    rows = _matrix_rows(np.column_stack([req.eval_points, values]))
     params = _common_params(args, grid)
     params.update({"sigma": args.sigma, "func": args.func,
                    "points": args.points, "all_interior": args.all_interior})
@@ -183,33 +189,29 @@ def _cmd_fraclap(args):
                 "augmented definitions need --bc-from-func or both "
                 "--dirichlet and --neumann")
     pts = _eval_points(args, grid)
-    columns = {}
-    for dfn in defs:
+    values = {}
+    for dfn in dict.fromkeys(defs):  # a repeated --def is evaluated once
         req = FracLapRequest(grid=grid, phi=phi, s=args.s, eval_points=pts,
                              mode=ConstantMode.parse(args.constant),
                              definition=dfn, boundary=boundary, rule=_rule(args))
-        columns[dfn.value] = [v for _, v in evaluate(req)]
+        values[dfn] = [v for _, v in evaluate(req)]
+    names = [d.value for d in defs]
+    cols = [np.asarray(values[d], float) for d in defs]
+    # one reldiff column per pair of definitions, |a - b| / max(|a|, |b|, 1e-300)
+    pairs = list(itertools.combinations(range(len(defs)), 2))
+    for i, j in pairs:
+        a, b = cols[i], cols[j]
+        cols.append(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300))
+    rows = _matrix_rows(np.column_stack([pts, *cols]))
     coord_hdr = "x" if grid.dim == 1 else "x,y"
-    rows = []
     if len(defs) == 1:
         header = f"{coord_hdr},value,definition"
-        rows = [f"{_coords(p)},{_fmt(v)},{defs[0].value}"
-                for p, v in zip(pts, columns[defs[0].value])]
+        rows = [f"{row},{names[0]}" for row in rows]
     else:
-        names = [d.value for d in defs]
-        pair_cols = [f"reldiff_{a}_{b}" for i, a in enumerate(names) for b in names[i + 1:]]
-        header = ",".join([coord_hdr] + names + pair_cols)
-        for i, p in enumerate(pts):
-            vals = [columns[n][i] for n in names]
-            diffs = []
-            for j, a in enumerate(names):
-                for b in names[j + 1:]:
-                    denom = max(abs(columns[a][i]), abs(columns[b][i]), 1e-300)
-                    diffs.append(abs(columns[a][i] - columns[b][i]) / denom)
-            rows.append(_coords(p) + "," + ",".join(_fmt(v) for v in vals)
-                        + ("," + ",".join(_fmt(v) for v in diffs) if diffs else ""))
+        header = ",".join([coord_hdr, *names,
+                           *(f"reldiff_{names[i]}_{names[j]}" for i, j in pairs)])
     params = _common_params(args, grid)
-    params.update({"s": args.s, "func": args.func, "definitions": [d.value for d in defs],
+    params.update({"s": args.s, "func": args.func, "definitions": names,
                    "points": args.points, "all_interior": args.all_interior,
                    "bc_from_func": args.bc_from_func,
                    "dirichlet": args.dirichlet, "neumann": args.neumann})
@@ -255,12 +257,6 @@ def _parse_assemble(spec):
     except ValueError as exc:
         raise ValueError(f"assembly spec {spec!r} expects {kind}:{','.join(names)} "
                          f"(integer node counts, positive lengths): {exc}") from None
-
-
-def _matrix_rows(m):
-    m = np.atleast_2d(m)
-    row = _doubles(m.shape[1], ",")
-    return [row % tuple(r) for r in m.tolist()]
 
 
 def _cmd_matpow(args):
@@ -331,11 +327,15 @@ def _parse_ic(spec, stencil):
     raise ValueError(f"unknown initial-condition spec {spec!r}")
 
 
+_SMALL_NORM = np.sqrt(np.finfo(float).tiny)  # below this the squares may have underflowed
+
+
 def _norm(u):
-    """The 2-norm of ``u``, scaled by max |u| only where the plain sum of squares overflows."""
+    """The 2-norm of ``u``, scaled by max |u| only where the plain sum of squares
+    overflows or underflows."""
     with np.errstate(over="ignore"):
         norm = np.linalg.norm(u)
-    if not np.isfinite(norm):
+    if not np.isfinite(norm) or (norm < _SMALL_NORM and u.any()):
         scale = np.max(np.abs(u))
         norm = scale * np.linalg.norm(u / scale)
     return norm
@@ -376,6 +376,19 @@ def _add_rule_flags(p):
     p.add_argument("--out", default=None)
 
 
+def _add_field_flags(p, order_flag):
+    """The flags ``potential`` and ``fraclap`` share.  The order, ``order_flag``, goes
+    between ``--domain`` and ``--func``, so a missing-argument message lists the
+    required flags in the order of the usage line."""
+    p.add_argument("--d", type=int, choices=[1, 2], required=True)
+    p.add_argument("--domain", required=True)
+    p.add_argument(order_flag, type=float, required=True)
+    p.add_argument("--func", required=True)
+    p.add_argument("--points", default=None)
+    p.add_argument("--all-interior", action="store_true")
+    _add_rule_flags(p)
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: ``parse_args`` keeps no state in it
@@ -387,28 +400,16 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("potential", help="truncated Riesz potential field")
-    p.add_argument("--d", type=int, choices=[1, 2], required=True)
-    p.add_argument("--domain", required=True)
-    p.add_argument("--sigma", type=float, required=True)
-    p.add_argument("--func", required=True)
-    p.add_argument("--points", default=None)
-    p.add_argument("--all-interior", action="store_true")
-    _add_rule_flags(p)
+    _add_field_flags(p, "--sigma")
     p.set_defaults(fn=_cmd_potential)
 
     p = sub.add_parser("fraclap", help="fractional Laplacian evaluators")
-    p.add_argument("--d", type=int, choices=[1, 2], required=True)
-    p.add_argument("--domain", required=True)
-    p.add_argument("--s", type=float, required=True)
+    _add_field_flags(p, "--s")
     p.add_argument("--def", dest="definition", action="append", default=[],
                    choices=[d.value for d in Definition])
-    p.add_argument("--func", required=True)
-    p.add_argument("--points", default=None)
-    p.add_argument("--all-interior", action="store_true")
     p.add_argument("--bc-from-func", action="store_true")
     p.add_argument("--dirichlet", type=float, default=None)
     p.add_argument("--neumann", type=float, default=None)
-    _add_rule_flags(p)
     p.set_defaults(fn=_cmd_fraclap)
 
     p = sub.add_parser("validate", help="run the invariant suites")

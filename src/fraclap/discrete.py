@@ -20,8 +20,9 @@ its own single-vector call for ``DirichletStencil``, and agrees to round-off
   ``assemble_laplacian_1d/2d`` without the matrix.  The orthonormal DST-I
   diagonalises it, so moving to and from modes is one ``numpy.fft.rfft``
   of an odd extension per axis (O(n log n)) and the eigenvalues are
-  closed-form.  ``dense()`` gives the same basis as an
-  ``EigenDecomposition`` for ``matrix_fractional_power``.
+  closed-form.  ``dense()`` is that transform applied to the identity, one
+  axis at a time, so the dense basis it hands ``matrix_fractional_power``
+  as an ``EigenDecomposition`` agrees with ``to_modes`` to about 1e-16.
 """
 
 from __future__ import annotations
@@ -114,12 +115,6 @@ def _vectors(p, n):
     return p
 
 
-def _sine_basis(n_interior):
-    """Orthonormal DST-I matrix: entry (j, k) is sqrt(2/(n+1)) sin(pi (j+1) (k+1) / (n+1))."""
-    j = np.arange(1, n_interior + 1)
-    return np.sqrt(2.0 / (n_interior + 1)) * np.sin(np.pi * np.outer(j, j) / (n_interior + 1))
-
-
 @dataclass(frozen=True)
 class DirichletStencil:
     """The stencil of ``assemble_laplacian_1d/2d``, diagonalised by the DST-I.
@@ -167,10 +162,13 @@ class DirichletStencil:
     from_modes = to_modes
 
     def dense(self) -> EigenDecomposition:
-        """Ascending eigenvalues with the closed-form product-sine eigenvectors."""
+        """Ascending eigenvalues with the product-sine eigenvectors: each axis's
+        orthonormal DST-I matrix is ``to_modes`` of the identity (the matrix is
+        symmetric), and the axes are joined by ``kron``."""
         lam = self.eigenvalues
         order = np.argsort(lam, kind="stable")
-        basis = functools.reduce(np.kron, [_sine_basis(n) for n in self.shape])
+        basis = functools.reduce(np.kron, [DirichletStencil((n,), (ln,)).to_modes(np.eye(n))
+                                           for n, ln in zip(self.shape, self.lengths)])
         return EigenDecomposition(eigenvalues=lam[order], eigenvectors=basis[:, order])
 
 

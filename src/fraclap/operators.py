@@ -159,7 +159,7 @@ def _finite_part_volume(req: FracLapRequest, x) -> float:
     w, normals = bq.weights, bq.normals
     fp0 = -(1.0 / s) * float(np.sum(w * rr ** (-(d + s)) * np.einsum("ij,ij->i", rv, normals)))
     fp1 = -(1.0 / (d - 2.0 + s)) * np.sum((w * rr ** (-(d - 2.0 + s)))[:, None] * normals, axis=0)
-    return -(num + px * fp0 + gx @ fp1) / h_constant(d, s, req.mode)
+    return float(-(num + px * fp0 + gx @ fp1) / h_constant(d, s, req.mode))
 
 
 def fraclap_hypersingular(req: FracLapRequest, x) -> float:

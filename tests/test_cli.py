@@ -11,6 +11,10 @@ import pytest
 
 import fraclap
 from fraclap import cli, discrete
+from fraclap.domain import (BoundaryData, boundary_quadrature, make_interval_grid,
+                            make_rectangle_grid)
+from fraclap.operators import Definition, FracLapRequest, evaluate
+from fraclap.riesz import PotentialRequest, riesz_potential_field
 
 # the child process imports the same fraclap as this one
 _SRC = os.path.dirname(os.path.dirname(fraclap.__file__))
@@ -346,6 +350,21 @@ class TestDiffuse:
             assert np.all(norm == norm[0])
             assert norm[0] == pytest.approx(math.hypot(*block[:, 2]), rel=1e-14)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e-170, 1e-160])
+    def test_norm_of_tiny_values_is_accurate(self, tmp_path, capsys, scale):
+        # squares of values below about 1e-154 underflow; the norm is scaled there only
+        path = tmp_path / "ic.csv"
+        discrete.save_matrix_csv(path, scale * np.array([[1.0], [2.0], [-1.0]]))
+        assert cli.main(["diffuse", "--assemble", "1d:3,1", "--s", "0.7",
+                         "--ic", f"file:{path}", "--times", "0,1e-4"]) == 0
+        rows = np.loadtxt(capsys.readouterr().out.splitlines()[1:], delimiter=",")
+        for block in rows.reshape(2, 3, 4):
+            norm = block[:, 3]
+            assert np.all(norm == norm[0])
+            assert norm[0] == pytest.approx(math.hypot(*block[:, 2]), rel=1e-15, abs=0.0)
+        assert rows[0, 3] == pytest.approx(math.sqrt(6.0) * scale, rel=1e-15, abs=0.0)
+
 
 class TestParserReuse:
     """``main`` builds its parser once per process; no call leaves state in it."""
@@ -446,6 +465,78 @@ class TestBlockWriter:
         assert text == (",".join(f"c{j}" for j in range(8)) + "\n" + "".join(
             ",".join(f"{v:.17g}" for v in row) + "\n" for row in power))
         self._assert_round_trip(text, power, range(8))
+
+    TABLES = [
+        ("potential", 1, ["--sigma", "0.5", "--func", "gauss:0.4,0.2", "--points", "0.2,0.5,0.8"]),
+        ("potential", 1, ["--sigma", "1.25", "--func", "quad", "--all-interior"]),
+        ("potential", 2, ["--sigma", "0.75", "--func", "gauss:0.4,0.5,0.2",
+                          "--points", "0.4,0.5;0.6,0.45"]),
+        ("potential", 2, ["--sigma", "0.5", "--func", "gauss:0.5,0.5,0.2", "--all-interior"]),
+        ("fraclap", 1, ["--s", "0.5", "--def", "new", "--func", "quad", "--points", "0.3,0.5"]),
+        ("fraclap", 1, ["--s", "0.75", "--def", "new", "--def", "hyper", "--def", "augmented",
+                        "--func", "gauss:0.5,0.2", "--all-interior", "--bc-from-func"]),
+        ("fraclap", 1, ["--s", "1.5", "--def", "new", "--def", "hyper", "--def", "new",
+                        "--func", "gauss:0.45,0.2", "--points", "0.3,0.6"]),
+        ("fraclap", 2, ["--s", "0.75", "--def", "new", "--def", "augmented", "--def", "restated",
+                        "--func", "gauss:0.4,0.5,0.2", "--points", "0.4,0.5;0.6,0.45",
+                        "--bc-from-func"]),
+        ("fraclap", 2, ["--s", "1.25", "--def", "hyper", "--func", "gauss:0.5,0.5,0.2",
+                        "--all-interior"]),
+        ("fraclap", 2, ["--s", "0.5", "--def", "augmented", "--def", "augmented",
+                        "--func", "quad", "--all-interior", "--dirichlet", "0.3",
+                        "--neumann", "-1.2"]),
+    ]
+
+    @pytest.mark.parametrize("command, d, argv", TABLES,
+                             ids=[f"{c}-{d}d-{i}" for i, (c, d, _) in enumerate(TABLES)])
+    def test_table_matches_per_value_text(self, capsys, command, d, argv):
+        """``potential`` and ``fraclap`` against per-value ``.17g`` joins and a Python
+        reldiff loop over the library's own values."""
+        if d == 1:
+            grid, domain = make_interval_grid(0.0, 1.0, 21), "0,1"
+        else:
+            grid, domain = make_rectangle_grid(0.0, 1.0, 0.0, 1.0, 13, 13), "0,1,0,1"
+        argv = [command, "--d", str(d), "--domain", domain, *argv]
+        args = cli.build_parser().parse_args(argv)
+        if args.all_interior:
+            pts = grid.interior_nodes()
+        elif d == 1:
+            pts = np.array([float(t) for t in args.points.split(",")])
+        else:
+            pts = np.array([[float(t) for t in pair.split(",")] for pair in args.points.split(";")])
+        phi = cli._parse_func(args.func, grid)
+        coords = [",".join(f"{float(c):.17g}" for c in np.atleast_1d(p)) for p in pts]
+        coord_hdr = "x" if d == 1 else "x,y"
+        if command == "potential":
+            req = PotentialRequest(grid=grid, phi=phi, sigma=args.sigma, eval_points=pts)
+            expected = [f"{coord_hdr},value"] + [
+                f"{c},{float(v):.17g}" for c, (_, v) in zip(coords, riesz_potential_field(req))]
+        else:
+            names = args.definition
+            bq = boundary_quadrature(grid)
+            boundary = (BoundaryData.from_function(bq, phi) if args.bc_from_func else
+                        BoundaryData.from_values(bq, args.dirichlet, args.neumann)
+                        if args.dirichlet is not None else None)
+            columns = {n: [v for _, v in evaluate(FracLapRequest(
+                grid=grid, phi=phi, s=args.s, eval_points=pts,
+                definition=Definition.parse(n), boundary=boundary))] for n in names}
+            if len(names) == 1:
+                expected = [f"{coord_hdr},value,definition"] + [
+                    f"{c},{float(v):.17g},{names[0]}" for c, v in zip(coords, columns[names[0]])]
+            else:
+                pair_cols = [f"reldiff_{a}_{b}" for i, a in enumerate(names) for b in names[i + 1:]]
+                expected = [",".join([coord_hdr] + names + pair_cols)]
+                for i, c in enumerate(coords):
+                    vals = [columns[n][i] for n in names]
+                    diffs = []
+                    for j, a in enumerate(names):
+                        for b in names[j + 1:]:
+                            denom = max(abs(columns[a][i]), abs(columns[b][i]), 1e-300)
+                            diffs.append(abs(columns[a][i] - columns[b][i]) / denom)
+                    expected.append(",".join([c] + [f"{float(v):.17g}" for v in vals + diffs]))
+        text = self._run(capsys, *argv)
+        assert text == "".join(line + "\n" for line in expected)
+        assert len(expected) == len(pts) + 1
 
 
 class TestReproducibility:

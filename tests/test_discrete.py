@@ -1,5 +1,7 @@
 """Matrix fractional powers, stiffness assembly, and modal diffusion."""
 
+import functools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -248,6 +250,56 @@ def test_transform_is_the_orthonormal_dst1(shape):
     got = stencil.to_modes(p)
     assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
     assert np.linalg.norm(stencil.from_modes(got) - p) <= 1e-15 * np.linalg.norm(p)
+
+
+_PI = "3.14159265358979323846264338327950288"
+
+
+def _reduced_sines(n, dtype=float):
+    """The orthonormal DST-I from argument-reduced sines, sin(pi ((jk) mod 2(n+1)) / (n+1))."""
+    j = np.arange(1, n + 1)
+    arg = (np.outer(j, j) % (2 * (n + 1))).astype(dtype)
+    return np.sqrt(dtype(2) / (n + 1)) * np.sin(dtype(_PI) * arg / (n + 1))
+
+
+class TestDenseBasis:
+    """``dense()`` takes its basis from the stencil's own transform of the identity."""
+
+    @pytest.mark.parametrize("n", [40, 200, 1000])
+    def test_matches_argument_reduced_sines(self, n):
+        v = DirichletStencil((n,), (1.0,)).dense().eigenvectors
+        assert np.max(np.abs(v - _reduced_sines(n))) <= 4e-16
+
+    def test_2d_is_the_kron_of_the_axes(self):
+        stencil = DirichletStencil((6, 5), (1.0, 1.5))
+        order = np.argsort(stencil.eigenvalues, kind="stable")
+        want = np.kron(_reduced_sines(6), _reduced_sines(5))[:, order]
+        assert np.max(np.abs(stencil.dense().eigenvectors - want)) <= 4e-16
+
+    def test_orthonormal_at_n_1000(self):
+        v = DirichletStencil((1000,), (1.0,)).dense().eigenvectors
+        assert np.max(np.abs(v.T @ v - np.eye(1000))) <= 5e-15
+
+    def test_is_the_matrix_free_transform(self):
+        stencil = DirichletStencil((40,), (1.0,))
+        assert np.array_equal(stencil.dense().eigenvectors, stencil.to_modes(np.eye(40)))
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="needs an extended-precision long double")
+    @pytest.mark.parametrize("shape, lengths, s", [
+        ((8,), (1.0,), 0.6), ((40,), (1.0,), 0.75), ((200,), (1.0,), 1.5),
+        ((6, 5), (1.0, 1.5), 0.8), ((20, 20), (1.0, 1.0), 0.75)])
+    def test_power_matches_extended_precision(self, shape, lengths, s):
+        ld = np.longdouble
+        stencil = DirichletStencil(shape, lengths)
+        got = matrix_fractional_power(stencil.dense(), s / 2.0)
+        v = functools.reduce(np.kron, [_reduced_sines(n, ld) for n in shape])
+        # the closed-form eigenvalues (4/h^2) sin^2(k pi / (2(n+1))), in long double
+        lam = functools.reduce(np.add.outer, [
+            4 / (ld(ln) / (n + 1)) ** 2 * np.sin(np.arange(1, n + 1) * ld(_PI) / (2 * (n + 1))) ** 2
+            for n, ln in zip(shape, lengths)]).ravel()
+        want = (v * lam ** ld(s / 2.0)) @ v.T
+        assert float(np.max(np.abs(got - want)) / np.max(np.abs(want))) <= 2e-15
 
 
 class TestBlockTransforms:

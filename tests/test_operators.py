@@ -275,6 +275,24 @@ class TestEvaluateDispatch:
         assert results[Definition.AUGMENTED] == pytest.approx(
             results[Definition.NEW], rel=1e-4)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_every_route_returns_a_float(self, d):
+        grid = (make_interval_grid(0.0, 1.0, 21) if d == 1
+                else make_rectangle_grid(0.0, 1.0, 0.0, 1.0, 13, 13))
+        phi = TestFunction.gaussian_bump([0.45] * d, 0.2)
+        x = 0.4 if d == 1 else (0.4, 0.55)
+        bd = BoundaryData.from_function(boundary_quadrature(grid), phi)
+        per_point = {Definition.RESTATED: fraclap_restated,
+                     Definition.HYPERSINGULAR: fraclap_hypersingular,
+                     Definition.NEW: fraclap_new,
+                     Definition.AUGMENTED: fraclap_augmented,
+                     Definition.AUGMENTED_AS_PRINTED: fraclap_augmented}
+        for dfn in Definition:
+            req = FracLapRequest(grid=grid, phi=phi, s=0.75, eval_points=[x],
+                                 definition=dfn, boundary=bd)
+            assert type(evaluate(req)[0][1]) is float, dfn
+            assert type(per_point[dfn](req, x)) is float, dfn
+
     def test_eval_points_order_preserved(self):
         grid = make_interval_grid(0.0, 1.0, 21)
         req = FracLapRequest(grid=grid, phi=TestFunction.quadratic(dim=1),
