@@ -224,9 +224,9 @@ def modal_diffusion_solve(eig: EigenDecomposition | DirichletStencil, s: float,
     if u0.shape != (eig.n,):
         raise ValueError(f"initial vector length {u0.shape} does not match order {eig.n}")
     times = np.asarray(times, float)
-    if np.any(times < 0.0):
-        raise ValueError("times must be nonnegative")
-    if np.any(np.diff(times) < 0.0):
+    if not np.all(times >= 0.0):  # written so that NaN fails too; inf is the zero limit
+        raise ValueError("times must be nonnegative and not NaN")
+    if np.any(times[1:] < times[:-1]):
         raise ValueError("times must be ascending")
     coeffs = eig.to_modes(u0)
     rates = eig.eigenvalues ** (s / 2.0)

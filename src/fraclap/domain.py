@@ -110,8 +110,20 @@ class Grid:
         return float(np.hypot.reduce(np.subtract(self.hi, self.lo)))
 
     def distance_to_boundary(self, x):
-        p = np.asarray(x, float).reshape(self.dim)
-        return float(min(min(pk - lo, hi - pk) for pk, lo, hi in zip(p, self.lo, self.hi)))
+        """Distance of x to the box's boundary: negative outside the box, NaN for NaN input."""
+        p = np.asarray(x, float).reshape(self.dim).tolist()
+        if any(map(math.isnan, p)):
+            return math.nan
+        return min(min(pk - lo, hi - pk) for pk, lo, hi in zip(p, self.lo, self.hi))
+
+    def check_margin(self, x):
+        """Distance of x to the boundary, ``margin`` or more up to ``MARGIN_TOL``, or ValueError."""
+        dist, delta = self.distance_to_boundary(x), self.margin
+        if not dist >= delta - MARGIN_TOL:  # written so that NaN fails too
+            raise ValueError(
+                f"evaluation point {x!r} violates the interior margin "
+                f"(distance {dist:.3g} < delta {delta:.3g})")
+        return dist
 
     def interior_nodes(self):
         """Nodes at least ``margin`` from the boundary, up to ``MARGIN_TOL``:
@@ -197,35 +209,34 @@ class TestFunction:
     _laplacian: object = field(repr=False)
     _hessian: object = field(repr=False)
 
-    def value(self, x):
+    def _edge(self, fn, x):
+        """``fn`` of (N, d) points on public-layout ``x``, one point's result unwrapped."""
         pts, scalar = _as_points(x, self.dim)
-        out = self._value(pts)
-        return float(out[0]) if scalar else out
+        out = fn(pts)
+        if not scalar:
+            return out
+        return float(out[0]) if out.ndim == 1 else out[0]
+
+    def value(self, x):
+        return self._edge(self._value, x)
 
     def gradient(self, x):
-        pts, scalar = _as_points(x, self.dim)
-        out = self._gradient(pts)
-        if self.dim == 1:
-            out = out.reshape(-1)
-            return float(out[0]) if scalar else out
-        return out[0] if scalar else out
+        """(N, d), or (N,) in 1D."""
+        return self._edge(lambda p: _public_points(self._gradient(p)), x)
 
     def laplacian(self, x):
-        pts, scalar = _as_points(x, self.dim)
-        out = self._laplacian(pts)
-        return float(out[0]) if scalar else out
+        return self._edge(self._laplacian, x)
 
     def hessian(self, x):
-        pts, scalar = _as_points(x, self.dim)
-        out = self._hessian(pts)
-        return out[0] if scalar else out
+        return self._edge(self._hessian, x)
 
     def normal_derivative(self, x, normal):
-        pts, scalar = _as_points(x, self.dim)
-        g = self._gradient(pts)
         n = np.asarray(normal, float).reshape(-1, self.dim)
-        out = np.einsum("ij,ij->i", g, np.broadcast_to(n, g.shape))
-        return float(out[0]) if scalar else out
+
+        def flux(p):
+            g = self._gradient(p)
+            return np.einsum("ij,ij->i", g, np.broadcast_to(n, g.shape))
+        return self._edge(flux, x)
 
     # ---- factories -------------------------------------------------------
 

@@ -5,14 +5,15 @@ Routes implemented, all for order s in (0, 2):
 * ``restated``       -Lap_x applied to the order-(2-s) Riesz potential of phi,
                       the outer Laplacian taken by central differences.
 * ``hypersingular``  -(1/h) times the Hadamard finite part of the
-                      r^-(d+s) convolution.
+                      r^-(d+s) convolution: the finite-part body.
 * ``new``            minus the order-(2-s) Riesz potential of Lap(phi); the
                       weak-singularity route.
 * ``augmented``      the new definition rewritten through Green's second
-                      identity as a volume finite part plus boundary-trace
-                      integrals.  The ``rigorous`` variant carries the surface
-                      kernels that actually come out of the identity; the
-                      ``as-printed`` variant uses exponent d+s and prefactor
+                      identity: the finite-part body plus a surface integral
+                      of boundary traces, whose kernels follow the request's
+                      definition.  ``augmented`` carries the surface kernels
+                      that actually come out of the identity;
+                      ``augmented-asprinted`` uses exponent d+s and prefactor
                       1/h on the surface as well, for comparison studies only.
                       Both read finite boundary traces from a ``BoundaryData``.
 
@@ -32,15 +33,15 @@ same kernel as the ``new`` route, on the same Gauss-Jacobi rule (beta = 1-s).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .domain import MARGIN_TOL, BoundaryData, FieldAdapter, as_field, boundary_quadrature
+from .domain import BoundaryData, FieldAdapter, boundary_quadrature
 from .errors import MissingBoundaryData
-from .riesz import PotentialRequest, RuleParams, _eval_points, riesz_potential_point
-from .special import ConstantMode, FractionalOrder, h_constant, riesz_constant
+from .riesz import FieldRequest, PotentialRequest, riesz_potential_point
+from .special import FractionalOrder, h_constant, riesz_constant
 
 __all__ = ["Definition", "FracLapRequest", "fraclap_restated", "fraclap_hypersingular",
            "fraclap_new", "fraclap_augmented", "surface_integral", "evaluate"]
@@ -58,18 +59,13 @@ class Definition(Enum):
         return cls(str(name).lower())
 
 
-@dataclass(frozen=True)
-class FracLapRequest:
-    """Evaluation request shared by all four routes."""
+@dataclass(frozen=True, kw_only=True)
+class FracLapRequest(FieldRequest):
+    """Evaluation request shared by all the routes."""
 
-    grid: object
-    phi: object                       # TestFunction | nodal samples
     s: float
-    eval_points: object = None
-    mode: ConstantMode = ConstantMode.PAPER
     definition: Definition = Definition.NEW
     boundary: BoundaryData = None
-    rule: RuleParams = field(default_factory=RuleParams)
 
     def __post_init__(self):
         FractionalOrder(self.s).check_pole(self.grid.dim)
@@ -77,25 +73,12 @@ class FracLapRequest:
         if augmented and self.boundary is None:
             raise MissingBoundaryData("augmented definitions require boundary data")
 
-    def check_margin(self, x):
-        """Distance of x to the boundary; at least the grid's ``margin`` or ValueError."""
-        dist = self.grid.distance_to_boundary(x)
-        delta = self.grid.margin
-        if dist < delta - MARGIN_TOL:
-            raise ValueError(
-                f"evaluation point {x!r} violates the interior margin "
-                f"(distance {dist:.3g} < delta {delta:.3g})")
-        return dist
-
-    @functools.cached_property
-    def field(self):
-        """``phi`` as a TestFunction, converted on first use."""
-        return as_field(self.grid, self.phi)
-
     def fld(self):
         return FieldAdapter(self.field)
 
+    @functools.cached_property
     def bq(self):
+        """The boundary rule: the boundary data's, else the grid's, built on first use."""
         if self.boundary is not None:
             return self.boundary.quadrature
         return boundary_quadrature(self.grid)
@@ -105,7 +88,7 @@ class FracLapRequest:
 # new definition: potential of the Laplacian
 
 def fraclap_new(req: FracLapRequest, x) -> float:
-    req.check_margin(x)
+    req.grid.check_margin(x)
     d, s = req.grid.dim, req.s
     c = riesz_constant(d, 2.0 - s, req.mode)
     rule = req.rule.build(req.grid, x, -(d - 2.0 + s))
@@ -122,7 +105,7 @@ def fraclap_restated(req: FracLapRequest, x) -> float:
     truncation, about 1e-6 relative on a smooth bump, is the value's main
     error; the 7-8 digits it cancels add only about 1e-8 of round-off.
     """
-    dist = req.check_margin(x)
+    dist = req.grid.check_margin(x)
     grid, d = req.grid, req.grid.dim
     tau = min(dist / 2.0, 1e-3 * grid.diameter)
     pot = PotentialRequest(grid=grid, phi=req.field, sigma=2.0 - req.s,
@@ -144,8 +127,9 @@ def _boundary_rays(bq, xi):
     return rv, np.sqrt(np.sum(rv * rv, axis=1))
 
 
-def _finite_part_volume(req: FracLapRequest, x) -> float:
+def fraclap_hypersingular(req: FracLapRequest, x) -> float:
     """-(1/h) times the f.p. integral of phi(xi) r^-(d+s) over the domain, x interior."""
+    req.grid.check_margin(x)
     grid, s, d = req.grid, req.s, req.grid.dim
     fld, rule = req.fld(), req.rule.build(grid, x, -(d - 2.0 + s))
     xi = np.asarray(x, float).reshape(d)
@@ -154,7 +138,7 @@ def _finite_part_volume(req: FracLapRequest, x) -> float:
     rem = fld.value(rule.nodes) - px - (rule.nodes - xi) @ gx
     num = rule.integrate_kernel(rem / rule.dist ** 2)
     # subtracted terms: finite parts reduced to boundary fluxes (divergence theorem)
-    bq = req.bq()
+    bq = req.bq
     rv, rr = _boundary_rays(bq, xi)
     w, normals = bq.weights, bq.normals
     fp0 = -(1.0 / s) * float(np.sum(w * rr ** (-(d + s)) * np.einsum("ij,ij->i", rv, normals)))
@@ -162,19 +146,15 @@ def _finite_part_volume(req: FracLapRequest, x) -> float:
     return float(-(num + px * fp0 + gx @ fp1) / h_constant(d, s, req.mode))
 
 
-def fraclap_hypersingular(req: FracLapRequest, x) -> float:
-    req.check_margin(x)
-    return _finite_part_volume(req, x)
-
-
 # ---------------------------------------------------------------------------
 # boundary-augmented form
 
-def surface_integral(req: FracLapRequest, x, as_printed=False) -> float:
-    """Boundary-trace integral of the augmented form at x.
+def surface_integral(req: FracLapRequest, x) -> float:
+    """Boundary-trace integral of the augmented form at x, with the kernels of
+    ``req.definition``.
 
-    Rigorous kernels: c(d, 2-s) * surface integral of
-    [D * dv/dn - v * N] with v = r^-(d-2+s).  The as-printed variant uses
+    ``augmented`` (and every other definition): c(d, 2-s) * surface integral
+    of [D * dv/dn - v * N] with v = r^-(d-2+s).  ``augmented-asprinted`` uses
     v = r^-(d+s) under the prefactor 1/h instead.
     """
     if req.boundary is None:
@@ -184,7 +164,7 @@ def surface_integral(req: FracLapRequest, x, as_printed=False) -> float:
     d, s = req.grid.dim, req.s
     rv, rr = _boundary_rays(bq, np.asarray(x, float).reshape(d))
     rhat_n = np.einsum("ij,ij->i", rv / rr[:, None], bq.normals)
-    if as_printed:
+    if req.definition is Definition.AUGMENTED_AS_PRINTED:
         beta = d + s
         pref = 1.0 / h_constant(d, s, req.mode)
     else:
@@ -196,10 +176,8 @@ def surface_integral(req: FracLapRequest, x, as_printed=False) -> float:
 
 
 def fraclap_augmented(req: FracLapRequest, x) -> float:
-    """Finite part plus surface term, with the surface kernels ``req.definition`` names."""
-    req.check_margin(x)
-    as_printed = req.definition is Definition.AUGMENTED_AS_PRINTED
-    return surface_integral(req, x, as_printed=as_printed) + _finite_part_volume(req, x)
+    """The finite-part body plus the surface term of ``req.definition``."""
+    return fraclap_hypersingular(req, x) + surface_integral(req, x)
 
 
 # ---------------------------------------------------------------------------
@@ -216,4 +194,4 @@ _DISPATCH = {
 def evaluate(req: FracLapRequest):
     """Evaluate the requested definition at every evaluation point."""
     fn = _DISPATCH[req.definition]
-    return [(p, fn(req, p)) for p in _eval_points(req)]
+    return [(p, fn(req, p)) for p in req.points()]

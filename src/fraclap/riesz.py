@@ -16,7 +16,8 @@ from .quadrature import (DEFAULT_GAUSS_ORDER, DEFAULT_RADIAL_ORDER, GradedPanels
                          graded_quadrature_rule)
 from .special import ConstantMode, riesz_constant
 
-__all__ = ["RuleParams", "PotentialRequest", "riesz_potential_point", "riesz_potential_field"]
+__all__ = ["RuleParams", "FieldRequest", "PotentialRequest", "riesz_potential_point",
+           "riesz_potential_field"]
 
 
 @dataclass(frozen=True)
@@ -33,16 +34,34 @@ class RuleParams:
                                       gauss_order=self.gauss_order)
 
 
-@dataclass(frozen=True)
-class PotentialRequest:
-    """Everything needed to evaluate the truncated potential of one field."""
+@dataclass(frozen=True, kw_only=True)
+class FieldRequest:
+    """A field on a grid, where to evaluate it and how; requests are built by keyword and add
+    their order and its checks (``PotentialRequest``, ``operators.FracLapRequest``)."""
 
     grid: object                     # domain.Grid
     phi: object                      # TestFunction | nodal sample array
-    sigma: float
-    eval_points: np.ndarray = None
+    eval_points: object = None
     mode: ConstantMode = ConstantMode.PAPER
     rule: RuleParams = field(default_factory=RuleParams)
+
+    @functools.cached_property
+    def field(self):
+        """``phi`` as a TestFunction, converted on first use."""
+        return as_field(self.grid, self.phi)
+
+    def points(self):
+        """The evaluation points in the public layout: (P,) in 1D, (P, 2) in 2D."""
+        if self.eval_points is None:
+            raise ValueError("request has no evaluation points")
+        return _public_points(np.asarray(self.eval_points, float).reshape(-1, self.grid.dim))
+
+
+@dataclass(frozen=True, kw_only=True)
+class PotentialRequest(FieldRequest):
+    """Everything needed to evaluate the truncated potential of one field."""
+
+    sigma: float
 
     def __post_init__(self):
         if not 0.0 < self.sigma < 2.0:
@@ -50,21 +69,9 @@ class PotentialRequest:
         # fail fast on gamma poles
         riesz_constant(self.grid.dim, self.sigma, self.mode)
 
-    @functools.cached_property
-    def field(self):
-        """``phi`` as a TestFunction, converted on first use."""
-        return as_field(self.grid, self.phi)
-
     def field_values(self):
         """Callable evaluating phi at (N, dim) points."""
         return self.field._value
-
-
-def _eval_points(req):
-    """A request's evaluation points in the public layout: (P,) in 1D, (P, 2) in 2D."""
-    if req.eval_points is None:
-        raise ValueError("request has no evaluation points")
-    return _public_points(np.asarray(req.eval_points, float).reshape(-1, req.grid.dim))
 
 
 def riesz_potential_point(req: PotentialRequest, x) -> float:
@@ -78,4 +85,4 @@ def riesz_potential_point(req: PotentialRequest, x) -> float:
 
 def riesz_potential_field(req: PotentialRequest):
     """Potential at every requested evaluation point, order preserved."""
-    return [(p, riesz_potential_point(req, p)) for p in _eval_points(req)]
+    return [(p, riesz_potential_point(req, p)) for p in req.points()]

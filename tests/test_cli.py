@@ -110,6 +110,12 @@ class TestExitCodes:
         assert r.returncode == 2
         assert name in r.stderr
 
+    @pytest.mark.parametrize("d, domain, point", [(1, "0,1", "nan"), (2, "0,1,0,1", "0.5,nan")])
+    def test_nan_point_is_a_margin_error(self, capsys, d, domain, point):
+        assert cli.main(["fraclap", "--d", str(d), "--domain", domain, "--s", "0.5",
+                         "--def", "hyper", "--func", "quad", "--points", point]) == 2
+        assert "interior margin" in capsys.readouterr().err
+
     def test_numerical_errors_are_three(self):
         # gamma pole at d=1, s=1
         r = run_cli("fraclap", "--d", "1", "--domain", "0,1", "--s", "1.0",
@@ -316,6 +322,12 @@ class TestDiffuse:
         for t, ut in zip(times, u):
             np.testing.assert_allclose(ut, np.exp(-lam ** (s / 2.0) * t) * u0,
                                        rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("times", ["0,nan", "nan,1"])
+    def test_nan_time_is_two(self, capsys, times):
+        assert cli.main(["diffuse", "--assemble", "1d:3,1", "--s", "1", "--ic", "sine:1",
+                         "--times", times]) == 2
+        assert "nonnegative and not NaN" in capsys.readouterr().err
 
     def test_point_ic_out_of_range(self):
         r = run_cli("diffuse", "--assemble", "1d:5,1", "--s", "1.0",

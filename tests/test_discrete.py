@@ -1,6 +1,7 @@
 """Matrix fractional powers, stiffness assembly, and modal diffusion."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -186,6 +187,18 @@ class TestModalDiffusion:
         eig = sym_eigendecompose(assemble_laplacian_1d(5, 1.0))
         with pytest.raises(ValueError):
             modal_diffusion_solve(eig, 1.0, np.zeros(5), [0.1, 0.05])
+
+    @pytest.mark.parametrize("times", [[-0.1, 0.2], [0.0, math.nan], [math.nan, 1.0]])
+    def test_times_must_be_nonnegative_numbers(self, times):
+        eig = sym_eigendecompose(assemble_laplacian_1d(5, 1.0))
+        with pytest.raises(ValueError, match="nonnegative"):
+            modal_diffusion_solve(eig, 1.0, np.ones(5), times)
+
+    def test_infinite_time_is_the_zero_limit(self):
+        eig = sym_eigendecompose(assemble_laplacian_1d(5, 1.0))
+        u0, u_inf = modal_diffusion_solve(eig, 1.0, np.ones(5), [0.0, math.inf])
+        np.testing.assert_allclose(u0, 1.0, rtol=1e-14)
+        assert np.all(u_inf == 0.0)
 
 
 def _assembled(shape, lengths):

@@ -1,5 +1,6 @@
 """Grids, boundary quadrature, analytic test fields, and boundary traces."""
 
+import math
 import os
 import subprocess
 import sys
@@ -54,6 +55,21 @@ class TestGrids:
         assert g1.distance_to_boundary(0.9) == pytest.approx(0.1)
         g2 = make_rectangle_grid(0, 1, 0, 2, 5, 5)
         assert g2.distance_to_boundary([0.25, 1.0]) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("grid", [make_interval_grid(0.0, 1.0, 11),
+                                      make_rectangle_grid(0.0, 1.0, 0.0, 1.0, 11, 21)],
+                             ids=["interval", "rectangle"])
+    def test_check_margin(self, grid):
+        # the margin is two of the wider cells, 0.2 on both grids; NaN violates it too
+        def points(t):
+            return [t] if grid.dim == 1 else [[t, 0.5], [0.5, t]]
+        for t, dist in ((0.35, 0.35), (0.2, 0.2), (0.8, 0.2), (0.5, 0.5)):
+            for x in points(t):
+                assert grid.check_margin(x) == pytest.approx(dist, rel=1e-12)
+        for t in (math.nan, -0.1, 1.5, 0.2 - 1e-9, 0.8 + 1e-9):
+            for x in points(t):
+                with pytest.raises(ValueError, match="interior margin"):
+                    grid.check_margin(x)
 
     def test_interior_nodes_margin(self):
         g = make_interval_grid(0.0, 1.0, 11)
@@ -122,9 +138,8 @@ class TestGrids:
         sizes = [data.draw(st.integers(3, 60)) for _ in range(dim)]
         grid = (make_interval_grid(lo[0], lo[0] + sides[0], sizes[0]) if dim == 1 else
                 make_rectangle_grid(lo[0], lo[0] + sides[0], lo[1], lo[1] + sides[1], *sizes))
-        req = FracLapRequest(grid=grid, phi=TestFunction.constant(1.0, dim=dim), s=0.5)
         for x in grid.interior_nodes():
-            assert req.check_margin(x) >= grid.margin - 1e-12
+            assert grid.check_margin(x) >= grid.margin - 1e-12
 
 
 class TestBoundaryQuadrature:

@@ -7,13 +7,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import hyp2f1
 
+from fraclap import operators
 from fraclap.domain import (BoundaryData, TestFunction, boundary_quadrature,
                             make_interval_grid, make_rectangle_grid)
 from fraclap.errors import (GammaPole, MissingBoundaryData)
 from fraclap.operators import (Definition, FracLapRequest, evaluate,
                                fraclap_augmented, fraclap_hypersingular,
                                fraclap_new, fraclap_restated, surface_integral)
-from fraclap.riesz import PotentialRequest, RuleParams, riesz_potential_point
+from fraclap.riesz import FieldRequest, PotentialRequest, RuleParams, riesz_potential_point
 from fraclap.special import ConstantMode
 
 
@@ -255,6 +256,27 @@ class TestAugmentedForm:
             FracLapRequest(grid=grid, phi=TestFunction.quadratic(dim=1), s=0.5,
                            definition=Definition.AUGMENTED)
 
+    @pytest.mark.parametrize("s", [0.5, 0.75, 1.5])
+    def test_surface_kernels_follow_the_definition(self, s):
+        # the 1D surface term written out: endpoints 0 and 1, outward normals -1 and +1,
+        # unit weights, r-hat . n = +1 at both; v = r^-(s-1) under c(1, 2-s) for the
+        # rigorous kernels, v = r^-(1+s) under 1/h = c(1, 2-s) (s-1) s as printed
+        grid = make_interval_grid(0.0, 1.0, 21)
+        phi = TestFunction.gaussian_bump([0.45], 0.2)
+        c = _c(1, 2.0 - s)
+        for dfn, beta, pref in ((Definition.AUGMENTED, s - 1.0, c),
+                                (Definition.AUGMENTED_AS_PRINTED, 1.0 + s, c * (s - 1.0) * s)):
+            req = _with_bc(grid, phi, s, dfn)
+            for x in (0.3, 0.5, 0.62):
+                expect = pref * sum(
+                    phi.value(end) * (-beta * abs(end - x) ** (-(beta + 1.0)))
+                    - abs(end - x) ** (-beta) * phi.gradient(end) * normal
+                    for end, normal in ((0.0, -1.0), (1.0, 1.0)))
+                assert surface_integral(req, x) == pytest.approx(expect, rel=1e-12), dfn
+                # the augmented route is the finite-part body plus that surface term
+                assert fraclap_augmented(req, x) == (
+                    fraclap_hypersingular(req, x) + surface_integral(req, x))
+
 
 class TestEvaluateDispatch:
     def test_all_definitions_1d(self):
@@ -292,6 +314,18 @@ class TestEvaluateDispatch:
                                  definition=dfn, boundary=bd)
             assert type(evaluate(req)[0][1]) is float, dfn
             assert type(per_point[dfn](req, x)) is float, dfn
+
+    def test_boundary_rule_built_once_per_request(self, monkeypatch):
+        # without boundary data the finite part takes the grid's boundary rule, built once
+        grid = make_rectangle_grid(0.0, 1.0, 0.0, 1.0, 13, 13)
+        built, build = [], operators.boundary_quadrature
+        monkeypatch.setattr(operators, "boundary_quadrature",
+                            lambda g: built.append(g) or build(g))
+        req = FracLapRequest(grid=grid, phi=TestFunction.gaussian_bump([0.5, 0.5], 0.2),
+                             s=1.25, eval_points=grid.interior_nodes(),
+                             definition=Definition.HYPERSINGULAR)
+        assert len(evaluate(req)) == 81
+        assert built == [grid]
 
     def test_eval_points_order_preserved(self):
         grid = make_interval_grid(0.0, 1.0, 21)
@@ -358,6 +392,16 @@ class TestValidationAndErrors:
         with pytest.raises(ValueError):
             fraclap_restated(req, 0.01)
 
+    def test_nan_point_violates_the_margin(self):
+        # every route checks the margin first, whichever coordinate is NaN
+        grid, phi = make_rectangle_grid(0.0, 1.0, 0.0, 1.0, 13, 13), TestFunction.quadratic(dim=2)
+        bd = BoundaryData.from_function(boundary_quadrature(grid), phi)
+        for dfn in Definition:
+            for x in ([0.5, math.nan], [math.nan, 0.5]):
+                req = _req(grid, phi, 0.5, definition=dfn, boundary=bd, eval_points=[x])
+                with pytest.raises(ValueError, match="interior margin"):
+                    evaluate(req)
+
     def test_mode_affects_scale(self):
         grid = make_interval_grid(0.0, 1.0, 21)
         phi = TestFunction.quadratic(dim=1)
@@ -365,3 +409,27 @@ class TestValidationAndErrors:
         vp = fraclap_new(_req(grid, phi, s, mode=ConstantMode.PAPER), 0.5)
         vs = fraclap_new(_req(grid, phi, s, mode=ConstantMode.STANDARD), 0.5)
         assert vs / vp == pytest.approx(math.pi ** ((2 - s - 1) / 2.0), rel=1e-12)
+
+
+class TestRequests:
+    """The potential and the fractional-Laplacian requests share one keyword-only base."""
+
+    @pytest.mark.parametrize("make", [
+        lambda **kw: PotentialRequest(sigma=0.5, **kw),
+        lambda **kw: FracLapRequest(s=0.5, **kw)], ids=["potential", "fraclap"])
+    def test_shared_points(self, make):
+        g1, g2 = make_interval_grid(0.0, 1.0, 21), make_rectangle_grid(0, 1, 0, 1, 9, 9)
+        req = make(grid=g1, phi=TestFunction.quadratic(dim=1), eval_points=[[0.3], [0.5]])
+        assert isinstance(req, FieldRequest)
+        np.testing.assert_array_equal(req.points(), [0.3, 0.5])
+        req = make(grid=g2, phi=TestFunction.quadratic(dim=2), eval_points=[0.3, 0.4])
+        np.testing.assert_array_equal(req.points(), [[0.3, 0.4]])
+        with pytest.raises(ValueError, match="no evaluation points"):
+            make(grid=g1, phi=TestFunction.quadratic(dim=1)).points()
+
+    def test_positional_arguments_rejected(self):
+        grid, phi = make_interval_grid(0.0, 1.0, 21), TestFunction.quadratic(dim=1)
+        with pytest.raises(TypeError):
+            PotentialRequest(grid, phi, 0.5)
+        with pytest.raises(TypeError):
+            FracLapRequest(grid, phi, 0.5)
