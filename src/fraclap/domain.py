@@ -121,7 +121,7 @@ class Grid:
         dist, delta = self.distance_to_boundary(x), self.margin
         if not dist >= delta - MARGIN_TOL:  # written so that NaN fails too
             raise ValueError(
-                f"evaluation point {x!r} violates the interior margin "
+                f"evaluation point {np.asarray(x, float).tolist()} violates the interior margin "
                 f"(distance {dist:.3g} < delta {delta:.3g})")
         return dist
 
@@ -256,9 +256,13 @@ class TestFunction:
 
     @staticmethod
     def gaussian_bump(center, width):
-        c = np.atleast_1d(np.asarray(center, float))
+        c, width = np.atleast_1d(np.asarray(center, float)), float(width)
+        if not np.all(np.isfinite(c)):
+            raise ValueError(f"gaussian bump center must be finite, got {c.tolist()}")
+        if not 0.0 < width < math.inf:  # written so that NaN fails too
+            raise ValueError(f"gaussian bump width must be finite and > 0, got {width!r}")
         dim = len(c)
-        w2 = float(width) ** 2
+        w2 = width ** 2
 
         def val(p):
             return np.exp(-np.sum((p - c) ** 2, axis=1) / (2.0 * w2))
@@ -342,6 +346,9 @@ class TestFunction:
 def _quadratic_form(a, g, c):
     """The field x·a·x + g·x + c of a symmetric (d, d) ``a``: gradient 2ax + g, Hessian 2a."""
     dim, c, hess = len(g), float(c), 2.0 * a
+    for name, coef in (("quadratic coefficients", a), ("gradient", g), ("constant term", c)):
+        if not np.all(np.isfinite(coef)):
+            raise ValueError(f"field {name} must be finite, got {np.asarray(coef).tolist()}")
     lap = np.trace(hess)
     return TestFunction(
         dim=dim,

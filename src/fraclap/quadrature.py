@@ -20,18 +20,19 @@ are the Christoffel numbers of the same recurrence.  The kernel is folded
 into the weights, jac * |c|^p * w_u * w_v, and a rule built for power p
 integrates f r^p as a plain weighted sum of f.
 
-One radial rule, cached per (beta, order), serves every fan in both
-dimensions.  Only the facets and the facet rule depend on the dimension;
-``box_facets`` and ``facet_rule`` (one node of weight 1 on an endpoint,
-Gauss panels along an edge) also make ``domain.boundary_quadrature``.  Both
-are cached, the facets per box, so every rule on a grid shares one table.
-``gauss_panel`` makes every composite Gauss-Legendre rule; it maps one
-Legendre rule onto all the panels of a rule at once.
+One builder, cached per (beta, order), makes every rule: each fan's radial
+rule in both dimensions and, at beta = 0, the Gauss-Legendre rule that
+``gauss_panel`` maps onto all the panels of a composite rule at once.  Only
+the facets and the facet rule depend on the dimension; ``box_facets`` and
+``facet_rule`` (one node of weight 1 on an endpoint, Gauss panels along an
+edge) also make ``domain.boundary_quadrature``.  Both are cached, the facets
+per box, so every rule on a grid shares one table.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +46,12 @@ _ANGULAR_PANELS = 4   # Gauss panels along each edge of a rectangle
 
 
 def gauss_panel(a, b, order):
-    """Composite Gauss-Legendre rule on the panels [a[i], b[i]].
-
-    ``a`` and ``b`` are panel ends, scalars or arrays of one shape.  The
-    nodes and weights come back flattened panel by panel, each panel's in
-    ascending Legendre order; a scalar pair gives the plain rule on [a, b].
-    """
-    x, w = np.polynomial.legendre.leggauss(order)
+    """Composite Gauss-Legendre rule on the panels [a[i], b[i]], ends scalars or arrays
+    of one shape: the radial rule for u^0 on (0, 1) mapped to each panel as
+    a + (b - a) u, flattened panel by panel, each panel's nodes ascending."""
+    u, w = _radial_rule(0.0, operator.index(order))
     a, b = np.asarray(a, float)[..., None], np.asarray(b, float)[..., None]
-    return (0.5 * (a + b) + 0.5 * (b - a) * x).ravel(), (0.5 * (b - a) * w).ravel()
+    return (a + (b - a) * u).ravel(), ((b - a) * w).ravel()
 
 
 def _orthonormal_sums(u, diag, off):
@@ -71,6 +69,8 @@ def _orthonormal_sums(u, diag, off):
 @functools.lru_cache(maxsize=128)
 def _radial_rule(beta, order):
     """Read-only Gauss-Jacobi nodes, ascending in (0, 1), and weights for the weight u^beta."""
+    if order < 1:
+        raise ValueError(f"a Gauss rule needs order >= 1, got {order!r}")
     # Jacobi matrix of the polynomials orthonormal for u^beta on (0, 1): the
     # (alpha, beta) = (0, beta) recurrence moved from (-1, 1), each sum written
     # as integer + beta so that nothing cancels as beta -> -1.  The recurrence

@@ -116,6 +116,29 @@ class TestExitCodes:
                          "--def", "hyper", "--func", "quad", "--points", point]) == 2
         assert "interior margin" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("d, domain, point, shown", [(1, "0,1", "0.01", " 0.01 "),
+                                                         (2, "0,1,0,1", "0.01,0.5", " [0.01, 0.5] ")])
+    def test_margin_error_shows_the_point(self, capsys, d, domain, point, shown):
+        assert cli.main(["fraclap", "--d", str(d), "--domain", domain, "--s", "0.5",
+                         "--def", "new", "--func", "quad", "--points", point]) == 2
+        err = capsys.readouterr().err
+        assert f"evaluation point{shown}violates the interior margin" in err
+
+    @pytest.mark.parametrize("cmd", [["fraclap", "--s", "0.5", "--def", "new"],
+                                     ["potential", "--sigma", "0.5"]], ids=["fraclap", "potential"])
+    @pytest.mark.parametrize("d, domain, point, func, message", [
+        (1, "0,1", "0.5", "gauss:0.5,0", "width must be finite and > 0, got 0.0"),
+        (1, "0,1", "0.5", "gauss:nan,0.2", "center must be finite, got [nan]"),
+        (1, "0,1", "0.5", "const:nan", "constant term must be finite, got nan"),
+        (2, "0,1,0,1", "0.5,0.5", "gauss:0.5,0.5,-0.1", "width must be finite and > 0, got -0.1"),
+        (2, "0,1,0,1", "0.5,0.5", "affine:1,inf,0", "gradient must be finite, got [1.0, inf]"),
+    ])
+    def test_degenerate_field_is_two(self, capsys, cmd, d, domain, point, func, message):
+        assert cli.main([*cmd, "--d", str(d), "--domain", domain, "--func", func,
+                         "--points", point]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: ") and message in err
+
     def test_numerical_errors_are_three(self):
         # gamma pole at d=1, s=1
         r = run_cli("fraclap", "--d", "1", "--domain", "0,1", "--s", "1.0",

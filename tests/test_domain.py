@@ -285,6 +285,21 @@ class TestTestFunction:
                        for e in np.eye(2)], axis=2)
         np.testing.assert_allclose(f.hessian(pts), fd, rtol=1e-6, atol=1e-6)
 
+    @pytest.mark.parametrize("make, name", [
+        (lambda: TestFunction.gaussian_bump([0.5], 0.0), "width"),
+        (lambda: TestFunction.gaussian_bump([0.5, 0.5], -0.2), "width"),
+        (lambda: TestFunction.gaussian_bump([0.5], np.nan), "width"),
+        (lambda: TestFunction.gaussian_bump([0.5], np.inf), "width"),
+        (lambda: TestFunction.gaussian_bump([np.nan], 0.2), "center"),
+        (lambda: TestFunction.gaussian_bump([0.5, np.inf], 0.2), "center"),
+        (lambda: TestFunction.constant(np.nan, dim=2), "constant term"),
+        (lambda: TestFunction.affine([0.5, np.nan], 0.2), "gradient"),
+        (lambda: TestFunction.affine([0.5], -np.inf), "constant term"),
+    ])
+    def test_factories_reject_degenerate_parameters(self, make, name):
+        with pytest.raises(ValueError, match=name):
+            make()
+
     def test_batch_evaluation_shapes(self):
         f = TestFunction.gaussian_bump([0.5], 0.2)
         xs = np.linspace(0.1, 0.9, 7)
@@ -390,7 +405,8 @@ class TestSampledField:
 
     def test_run_time_paths_do_not_import_scipy(self, tmp_path):
         # every route in both dimensions, on analytic and sampled fields, the
-        # potential, and the diffuse and matpow commands run on numpy alone
+        # potential, and the diffuse and matpow commands run on numpy alone,
+        # without numpy.polynomial
         code = textwrap.dedent(f"""
             import sys
             import numpy as np
@@ -419,13 +435,15 @@ class TestSampledField:
                           "--check", "semigroup"]):
                 assert cli.main(argv) == 0
             print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+            print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
         """)
         src = os.path.dirname(os.path.dirname(fraclap.__file__))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                            env={**os.environ, "PYTHONPATH": path})
         assert r.returncode == 0, r.stderr
-        assert r.stdout.strip().splitlines()[-1] == "[]"
+        assert r.stdout.strip().splitlines()[-2] == "[]"
+        assert r.stdout.strip().splitlines()[-1] == "[]"  # every rule from one Gauss builder
 
 
 class TestBoundaryData:
