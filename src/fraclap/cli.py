@@ -16,6 +16,7 @@ import contextlib
 import functools
 import itertools
 import json
+import math
 import sys
 
 import numpy as np
@@ -263,12 +264,10 @@ def _cmd_matpow(args):
     if not 0.0 < args.s <= 2.0:
         raise ValueError(f"order must lie in (0, 2], got {args.s!r}")
     # a user matrix needs a dense eigh; an assembled stencil runs through the DST-I
-    if args.matrix:
+    if args.matrix is not None:
         op = discrete.sym_eigendecompose(discrete.load_matrix_csv(args.matrix))
-    elif args.assemble:
-        op = _parse_assemble(args.assemble)
     else:
-        raise ValueError("--matrix or --assemble is required")
+        op = _parse_assemble(args.assemble)
     alpha = args.s / 2.0
     params = {"matrix": args.matrix, "assemble": args.assemble, "s": args.s,
               "apply": args.apply, "check": args.check,
@@ -327,26 +326,13 @@ def _parse_ic(spec, stencil):
     raise ValueError(f"unknown initial-condition spec {spec!r}")
 
 
-_SMALL_NORM = np.sqrt(np.finfo(float).tiny)  # below this the squares may have underflowed
-
-
-def _norm(u):
-    """The 2-norm of ``u``, scaled by max |u| only where the plain sum of squares
-    overflows or underflows."""
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(u)
-    if not np.isfinite(norm) or (norm < _SMALL_NORM and u.any()):
-        scale = np.max(np.abs(u))
-        norm = scale * np.linalg.norm(u / scale)
-    return norm
-
-
 def _cmd_diffuse(args):
     """The modal solve at each of ``--times``, as ``t,node,value,norm`` rows.
 
     Each time slice is one block: a row template built once per command,
     ``%s,{node},%.17g,%s`` for every node, filled in one ``%`` pass from the
-    slice's values interleaved with its time and norm text.
+    slice's values interleaved with its time and norm text.  The norm is
+    ``math.hypot`` of the values, which neither overflows nor underflows.
     """
     stencil = _parse_assemble(args.assemble)
     u0 = _parse_ic(args.ic, stencil)
@@ -356,8 +342,9 @@ def _cmd_diffuse(args):
 
     def slices():
         for t, u in zip(times, sols):
-            fields = [_fmt(t), None, _fmt(_norm(u))] * stencil.n
-            fields[1::3] = u.tolist()
+            vals = u.tolist()
+            fields = [_fmt(t), None, _fmt(math.hypot(*vals))] * stencil.n
+            fields[1::3] = vals
             yield template % tuple(fields)
     params = {"assemble": args.assemble, "s": args.s, "ic": args.ic,
               "times": times, "boundary_conditions": "homogeneous dirichlet"}
@@ -384,8 +371,9 @@ def _add_field_flags(p, order_flag):
     p.add_argument("--domain", required=True)
     p.add_argument(order_flag, type=float, required=True)
     p.add_argument("--func", required=True)
-    p.add_argument("--points", default=None)
-    p.add_argument("--all-interior", action="store_true")
+    where = p.add_mutually_exclusive_group()
+    where.add_argument("--points", default=None)
+    where.add_argument("--all-interior", action="store_true")
     _add_rule_flags(p)
 
 
@@ -419,11 +407,13 @@ def build_parser():
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("matpow", help="matrix fractional power K^(s/2)")
-    p.add_argument("--matrix", default=None)
-    p.add_argument("--assemble", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--matrix", default=None)
+    source.add_argument("--assemble", default=None)
     p.add_argument("--s", type=float, required=True)
-    p.add_argument("--apply", default=None)
-    p.add_argument("--check", choices=["semigroup", "spectral"], default=None)
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--apply", default=None)
+    mode.add_argument("--check", choices=["semigroup", "spectral"], default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_matpow)
 

@@ -173,10 +173,8 @@ def boundary_quadrature(grid, gauss_order=DEFAULT_GAUSS_ORDER) -> BoundaryQuadra
     split into ``max(nx, ny) - 1`` equal Gauss panels, the number of cells
     along the grid's longer direction, whatever the edge's length.
     """
-    verts, normals = box_facets(grid.lo, grid.hi)
+    verts, normals, size = box_facets(grid.lo, grid.hi)
     bary, w = facet_rule(grid.dim, max(len(ax) for ax in grid.axes) - 1, gauss_order)
-    # the facet normal to one axis spans the box's sides along the others
-    size = np.prod(np.where(normals == 0.0, np.subtract(grid.hi, grid.lo), 1.0), axis=1)
     return BoundaryQuadrature(points=(bary @ verts).reshape(-1, grid.dim),
                               normals=np.repeat(normals, len(w), axis=0),
                               weights=(size[:, None] * w).ravel())

@@ -10,23 +10,26 @@ a node of the angular rule on the facet, so r = u * |c| and
     integral over the fan of f r^p
         = jac * sum_v w_v |c_v|^p * integral_0^1 f(x + u c_v) u^(d-1+p) du,
 
-with jac the |det| of the facet's vertices minus x.  The radial integral
-carries the weight u^beta, beta = d - 1 + p, and the Gauss-Jacobi rule for
-that weight integrates it exactly, so f only has to be smooth along each
-chord.  It is built on numpy alone by Golub-Welsch (Math. Comp. 23, 1969):
-the nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix,
-sharpened by one Newton step on the three-term recurrence, and the weights
-are the Christoffel numbers of the same recurrence.  The kernel is folded
-into the weights, jac * |c|^p * w_u * w_v, and a rule built for power p
-integrates f r^p as a plain weighted sum of f.
+with jac the fan's |det|, its height times its base: the signed distance from
+x to the facet, >= 0 inside the box, times the facet's size.  A negative or NaN
+distance puts x outside the box, and a fan is kept where its jac is positive,
+alike in both dimensions.  The radial integral carries the weight u^beta,
+beta = d - 1 + p, and the Gauss-Jacobi rule for that weight integrates it
+exactly, so f only has to be smooth along each chord.  It is built on numpy
+alone by Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+the symmetric tridiagonal Jacobi matrix, sharpened by one Newton step on the
+three-term recurrence, and the weights are the Christoffel numbers of the same
+recurrence.  The kernel is folded into the weights, jac * |c|^p * w_u * w_v,
+and a rule built for power p integrates f r^p as a plain weighted sum of f.
 
 One builder, cached per (beta, order), makes every rule: each fan's radial
 rule in both dimensions and, at beta = 0, the Gauss-Legendre rule that
 ``gauss_panel`` maps onto all the panels of a composite rule at once.  Only
-the facets and the facet rule depend on the dimension; ``box_facets`` and
-``facet_rule`` (one node of weight 1 on an endpoint, Gauss panels along an
-edge) also make ``domain.boundary_quadrature``.  Both are cached, the facets
-per box, so every rule on a grid shares one table.
+the facets and the facet rule depend on the dimension; ``box_facets``
+(vertices, outward normals and sizes) and ``facet_rule`` (one node of weight 1
+on an endpoint, Gauss panels along an edge) also make
+``domain.boundary_quadrature``.  Both are cached, the facets per box, so every
+rule on a grid shares one table.
 """
 
 from __future__ import annotations
@@ -116,8 +119,8 @@ class GradedPanels:
 @functools.lru_cache(maxsize=128)
 def box_facets(lo, hi):
     """Read-only facets of the box [lo, hi], its corners given as tuples: (F, d, d)
-    vertices and (F, d) outward normals, an interval's two endpoints or a
-    rectangle's four edges counterclockwise."""
+    vertices, (F, d) outward normals and (F,) sizes, an interval's two endpoints
+    (size 1) or a rectangle's four edges counterclockwise (their lengths)."""
     if len(lo) == 1:
         verts, normals = np.array([[lo], [hi]], float), np.array([[-1.0], [1.0]])
     else:
@@ -125,8 +128,10 @@ def box_facets(lo, hi):
                            float)
         verts = np.stack([corners, np.roll(corners, -1, axis=0)], axis=1)
         normals = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-    verts.flags.writeable = normals.flags.writeable = False
-    return verts, normals
+    # the facet normal to one axis spans the box's sides along the others
+    size = np.prod(np.where(normals == 0.0, np.subtract(hi, lo), 1.0), axis=1)
+    verts.flags.writeable = normals.flags.writeable = size.flags.writeable = False
+    return verts, normals, size
 
 
 @functools.lru_cache(maxsize=128)
@@ -145,14 +150,15 @@ def facet_rule(d, panels, order):
 
 def _graded_rule(lo, hi, x, power, radial_order, order):
     d = len(x)
-    verts, _ = box_facets(lo, hi)
+    verts, normals, size = box_facets(lo, hi)
     bary, wv = facet_rule(d, _ANGULAR_PANELS, order)
-    rel = verts - x                                        # (F, d, d)
-    jac = np.abs(np.linalg.det(rel))
-    keep = jac > 0.0 if d == 1 else jac >= 1e-30  # a facet through x spans no volume
-    jac, chords = jac[keep], bary @ rel[keep]              # (F,), (F, nv, d)
-    # |c| in 1D, so that a chord down to the smallest subnormal neither under- nor overflows
-    clen = np.abs(chords[..., 0]) if d == 1 else np.sqrt(np.sum(chords * chords, axis=2))
+    dist = np.einsum("fd,fd->f", normals, verts[:, 0] - x)  # x's height over each facet
+    if not dist.min() >= 0.0:  # so that NaN fails too
+        raise ValueError(f"singular point {x.tolist()} outside the box {list(lo)} to {list(hi)}")
+    jac = dist * size                                      # each fan's |det|: height x base
+    keep = jac > 0.0                                       # a facet through x spans no volume
+    jac, chords = jac[keep], bary @ (verts[keep] - x)      # (F,), (F, nv, d)
+    clen = np.abs(np.hypot.reduce(chords, axis=2))         # |c|, neither under- nor overflowing
     u, wu = _radial_rule(d - 1.0 + power, radial_order)
     pos = x + u[None, :, None, None] * chords[:, None]     # (F, nu, nv, d)
     w = jac[:, None, None] * wu[:, None] * (wv * clen ** power)[:, None, :]
@@ -167,12 +173,10 @@ def graded_quadrature_rule(domain, singular_point, power=0.0, radial_order=DEFAU
     ``domain`` is a ``domain.Grid`` or a raw bounds tuple: (a, b) in 1D,
     (a1, b1, a2, b2) in 2D.  ``power`` must exceed -d for the kernel to be
     integrable, and a ``ValueError`` says so otherwise; the default 0 gives
-    a plain volume rule.
+    a plain volume rule.  A point outside the box, or NaN, is a ``ValueError``.
 
-    A point however close to an interval's endpoint keeps that endpoint's fan.
-    In 2D the fan over an edge is dropped when its |det| is below 1e-30, as
-    the round-off of a point on that edge; a point that near an edge but off
-    it loses the thin fan's share of the integral.
+    Only the fan over a facet through the point is dropped: a point however
+    close to a facet, but off it, keeps that facet's fan.
     """
     if radial_order < 1:
         raise ValueError(f"radial order must be >= 1, got {radial_order!r}")
@@ -184,6 +188,4 @@ def graded_quadrature_rule(domain, singular_point, power=0.0, radial_order=DEFAU
     if not power > -d:  # written so that NaN fails too
         raise ValueError(f"r^power is not integrable in {d}D unless power > -{d}, got {power!r}")
     x = np.asarray(singular_point, float).reshape(d)
-    if not np.all(np.less_equal(lo, x) & np.less_equal(x, hi)):  # so that NaN fails too
-        raise ValueError(f"singular point {x.tolist()} outside the box {list(lo)} to {list(hi)}")
     return _graded_rule(lo, hi, x, float(power), int(radial_order), gauss_order)

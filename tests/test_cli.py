@@ -230,6 +230,40 @@ class TestExitCodes:
         assert cli.main(["matpow", *source, "--s", "1.0"]) == 2
         assert "ValueError" in capsys.readouterr().err
 
+_FRACLAP_1D = ["fraclap", "--d", "1", "--domain", "0,1", "--s", "0.5", "--def", "new",
+               "--func", "quad"]
+_POTENTIAL_1D = ["potential", "--d", "1", "--domain", "0,1", "--sigma", "0.5", "--func", "quad"]
+
+
+class TestConflictingFlags:
+    """Flags that pick one input or one mode exclude each other: the command exits 2
+    before it reads any file, and stderr names both flags."""
+
+    @pytest.mark.parametrize("argv, first, second", [
+        (["matpow", "--assemble", "1d:6,1", "--s", "1", "--apply", "v.csv",
+          "--check", "semigroup"], "--apply", "--check"),
+        (["matpow", "--matrix", "m.csv", "--assemble", "1d:6,1", "--s", "1"],
+         "--matrix", "--assemble"),
+        ([*_FRACLAP_1D, "--points", "0.5", "--all-interior"], "--points", "--all-interior"),
+        ([*_POTENTIAL_1D, "--points", "0.5", "--all-interior"], "--points", "--all-interior"),
+    ], ids=["matpow-apply-check", "matpow-matrix-assemble", "fraclap-points-all-interior",
+            "potential-points-all-interior"])
+    def test_conflicting_pair_is_two(self, capsys, argv, first, second):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv)
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {second}: not allowed with argument {first}" in captured.err
+
+    def test_matpow_needs_a_matrix_or_a_stencil(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["matpow", "--s", "1", "--check", "semigroup"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: one of the arguments --matrix --assemble is required" in err
+
+
 class TestMatpow:
     def test_check_semigroup(self):
         r = run_cli("matpow", "--assemble", "1d:12,1", "--s", "1.0",
@@ -373,7 +407,7 @@ class TestDiffuse:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_norm_of_huge_values_is_finite(self, tmp_path, capsys):
-        # squares of values past about 1e154 overflow; the norm is scaled there only
+        # squares of values past about 1e154 overflow; math.hypot does not
         u0 = np.random.default_rng(5).standard_normal(30) * 10.0 ** np.linspace(0.0, 300.0, 30)
         path = tmp_path / "ic.csv"
         discrete.save_matrix_csv(path, u0.reshape(-1, 1))
@@ -383,12 +417,12 @@ class TestDiffuse:
         for block in rows.reshape(2, 30, 4):
             norm = block[:, 3]
             assert np.all(norm == norm[0])
-            assert norm[0] == pytest.approx(math.hypot(*block[:, 2]), rel=1e-14)
+            assert norm[0] == math.hypot(*block[:, 2])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e-170, 1e-160])
     def test_norm_of_tiny_values_is_accurate(self, tmp_path, capsys, scale):
-        # squares of values below about 1e-154 underflow; the norm is scaled there only
+        # squares of values below about 1e-154 underflow; math.hypot does not
         path = tmp_path / "ic.csv"
         discrete.save_matrix_csv(path, scale * np.array([[1.0], [2.0], [-1.0]]))
         assert cli.main(["diffuse", "--assemble", "1d:3,1", "--s", "0.7",
@@ -397,7 +431,7 @@ class TestDiffuse:
         for block in rows.reshape(2, 3, 4):
             norm = block[:, 3]
             assert np.all(norm == norm[0])
-            assert norm[0] == pytest.approx(math.hypot(*block[:, 2]), rel=1e-15, abs=0.0)
+            assert norm[0] == math.hypot(*block[:, 2])
         assert rows[0, 3] == pytest.approx(math.sqrt(6.0) * scale, rel=1e-15, abs=0.0)
 
 
@@ -470,7 +504,7 @@ class TestBlockWriter:
         else:
             u0 = np.kron(np.sin(2 * np.pi * np.arange(1, 7) / 7),
                          np.sin(2 * np.pi * np.arange(1, 6) / 6))
-        rows = [(t, node, v, np.linalg.norm(u))
+        rows = [(t, node, v, math.hypot(*u))
                 for t, u in zip(times, discrete.modal_diffusion_solve(stencil, s, u0, times))
                 for node, v in enumerate(u)]
         expected = "t,node,value,norm\n" + "".join(

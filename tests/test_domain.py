@@ -118,8 +118,8 @@ class TestGrids:
                                       make_rectangle_grid(-0.75, 1.25, 0.5, 1.5, 9, 7)],
                              ids=["interval", "rectangle"])
     def test_facets_built_once_per_box(self, grid):
-        verts, normals = box_facets(grid.lo, grid.hi)
-        assert not verts.flags.writeable and not normals.flags.writeable
+        verts, normals, size = box_facets(grid.lo, grid.hi)
+        assert not any(a.flags.writeable for a in (verts, normals, size))
         misses = box_facets.cache_info().misses
         # the boundary rule and every volume rule on the box read the same table
         boundary_quadrature(grid)
@@ -127,7 +127,7 @@ class TestGrids:
             graded_quadrature_rule(grid, x, -0.5)
         assert box_facets.cache_info().misses == misses
         again = box_facets(grid.lo, grid.hi)
-        assert again[0] is verts and again[1] is normals
+        assert all(a is b for a, b in zip(again, (verts, normals, size)))
 
     @settings(deadline=None, max_examples=80)
     @given(dim=st.sampled_from([1, 2]), data=st.data())

@@ -1,6 +1,7 @@
 """Singularity-resolving quadrature: Duffy fans over a Gauss-Jacobi radial rule."""
 
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
@@ -9,7 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from fraclap.quadrature import _radial_rule, box_facets, gauss_panel, graded_quadrature_rule
+from fraclap.domain import boundary_quadrature, make_interval_grid, make_rectangle_grid
+from fraclap.quadrature import (DEFAULT_GAUSS_ORDER, _radial_rule, box_facets, facet_rule,
+                                gauss_panel, graded_quadrature_rule)
+from fraclap.riesz import RuleParams
 
 
 def _polar_square_oracle(rect, xs, alpha):
@@ -271,7 +275,7 @@ class TestGradedRuleFans:
                                       gauss_order=gauss_order)
         assert np.sum(rule.weights) == pytest.approx(measure, rel=1e-13)
         # the fans from x over the box's facets, a simplex each, add up to the box
-        verts, _ = box_facets(tuple(bounds[0::2]), tuple(bounds[1::2]))
+        verts, _, _ = box_facets(tuple(bounds[0::2]), tuple(bounds[1::2]))
         fan_measure = np.abs(np.linalg.det(verts - x)).sum() / math.factorial(dim)
         assert fan_measure == pytest.approx(measure, rel=1e-13)
 
@@ -291,6 +295,72 @@ class TestGradedRuleFans:
                                       gauss_order=gauss_order)
         expect = ((x - a) ** (1.0 - alpha) + (b - x) ** (1.0 - alpha)) / (1.0 - alpha)
         assert rule.integrate_kernel() == pytest.approx(expect, rel=1e-7)
+
+
+class TestFanJacobians:
+    """Each fan's Jacobian is the point's distance to the facet times the facet's size,
+    from ``box_facets``.  With one radial node and power 0 a fan's weights are that
+    Jacobian times the radial weight 1/d and the facet weights, so they show it bit for bit."""
+
+    @pytest.mark.parametrize("points", [
+        np.random.default_rng(19).uniform(0.05, 1.0, 100_000),
+        np.random.default_rng(20).uniform(0.0, 1e-300, 2_000),
+        -np.random.default_rng(21).uniform(0.0, 1e-300, 2_000),
+    ], ids=["unit", "near-lo", "near-hi"])
+    def test_interval_fan_is_the_distance_to_the_end(self, points):
+        # a determinant from LU factors misses the last bit on about 12% of the unit
+        # points and on nearly all of those within 1e-300 of an end
+        a, b = (0.0, 1.0) if points[0] >= 0.0 else (-1.0, 0.0)
+        mismatched = [x for x in points.tolist()
+                      if graded_quadrature_rule((a, b), x, radial_order=1).weights.tolist()
+                      != [x - a, b - x]]
+        assert mismatched == []
+
+    def test_rectangle_fan_is_distance_times_edge_length(self):
+        bounds, (bx, by) = (-0.75, 1.25, 0.5, 1.5), (2.0, 1.0)
+        _, wv = facet_rule(2, 4, DEFAULT_GAUSS_ORDER)
+        for x, y in np.random.default_rng(22).uniform((-0.75, 0.5), (1.25, 1.5), (200, 2)):
+            w = graded_quadrature_rule(bounds, (x, y), radial_order=1).weights
+            jac = np.array([(y - 0.5) * bx, (1.25 - x) * by, (1.5 - y) * bx, (x + 0.75) * by])
+            assert np.array_equal(w.reshape(4, -1), (0.5 * jac)[:, None] * wv)
+
+    @pytest.mark.filterwarnings("error")
+    def test_only_a_facet_through_the_point_loses_its_fan(self):
+        box, area = (0.0, 2.0, 0.0, 1.0), 2.0
+        on_edge = graded_quadrature_rule(box, (0.5, 0.0), radial_order=1)
+        near = graded_quadrature_rule(box, (0.5, 1e-300), radial_order=1)
+        nv = len(facet_rule(2, 4, DEFAULT_GAUSS_ORDER)[1])
+        assert len(on_edge.weights) == 3 * nv and len(near.weights) == 4 * nv
+        assert np.sum(near.weights[:nv]) == pytest.approx(0.5 * 1e-300 * 2.0, rel=1e-14)
+        for rule in (on_edge, near):
+            assert np.sum(rule.weights) == pytest.approx(area, rel=1e-13)
+        kernel = graded_quadrature_rule(box, (0.5, 1e-300), -1.9)
+        assert np.all(np.isfinite(kernel.weights)) and np.all(kernel.weights > 0.0)
+        assert math.isfinite(kernel.integrate_kernel())
+
+    @pytest.mark.parametrize("bounds, x", [((0.0, 1.0), 1.5), ((0.0, 1.0), -1e-300),
+                                           ((0.0, 1.0), np.nan),
+                                           ((0.0, 1.0, 0.0, 1.0), (0.5, 1.0 + 1e-15)),
+                                           ((0.0, 1.0, 0.0, 1.0), (np.nan, 0.5)),
+                                           ((0.0, 1.0, 0.0, 1.0), (-np.inf, 0.5))])
+    def test_outside_point_is_one_error_on_every_path(self, bounds, x):
+        lo, hi = list(bounds[0::2]), list(bounds[1::2])
+        shown = np.asarray(x, float).reshape(-1).tolist()
+        message = re.escape(f"singular point {shown} outside the box {lo} to {hi}")
+        grid = (make_interval_grid(*bounds, 5) if len(bounds) == 2
+                else make_rectangle_grid(*bounds, 5, 5))
+        with pytest.raises(ValueError, match=message):
+            graded_quadrature_rule(bounds, x, -0.5)
+        with pytest.raises(ValueError, match=message):
+            RuleParams().build(grid, x, -0.5)
+
+    @pytest.mark.parametrize("grid", [make_interval_grid(-0.75, 1.25, 9),
+                                      make_rectangle_grid(-0.75, 1.25, 0.5, 1.5, 9, 7)],
+                             ids=["interval", "rectangle"])
+    def test_facet_sizes_are_the_boundary_rule_per_facet(self, grid):
+        _, _, size = box_facets(grid.lo, grid.hi)
+        bq = boundary_quadrature(grid)
+        assert bq.weights.reshape(len(size), -1).sum(axis=1) == pytest.approx(size, rel=1e-14)
 
 
 def _monomial_error(beta, n):
