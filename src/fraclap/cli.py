@@ -5,8 +5,9 @@ Subcommands: ``potential``, ``fraclap``, ``validate``, ``matpow``,
 doubles; runs with ``--out`` also write ``FILE.manifest.json`` capturing all
 parameters so identical manifests imply bit-identical CSV.
 
-Exit codes: 0 success, 1 failed validation checks, 2 argument errors,
-3 numerical errors (the error class name goes to stderr).
+Exit codes: 0 success, 1 failed validation checks, 2 argument errors (an
+input file that cannot be read or an ``--out`` that cannot be written
+included), 3 numerical errors (the error class name goes to stderr).
 """
 
 from __future__ import annotations
@@ -437,7 +438,7 @@ def main(argv=None):
     except _NUMERICAL_ERRORS as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # an OSError names the file it could not open
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

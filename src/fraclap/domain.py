@@ -48,6 +48,15 @@ def _product_points(axes):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
+def _squared_norms(v):
+    """The squared length of each row of (N, d) ``v``, summed column by column: the
+    bits of ``np.sum(v * v, axis=1)``, without numpy's reduction over an axis of 1 or 2."""
+    out = v[:, 0] * v[:, 0]
+    for k in range(1, v.shape[1]):
+        out += v[:, k] * v[:, k]
+    return out
+
+
 def _public_points(pts):
     """(N, d) points in the public layout: (N,) in 1D, unchanged in 2D."""
     return pts[:, 0] if pts.shape[1] == 1 else pts
@@ -262,22 +271,27 @@ class TestFunction:
         dim = len(c)
         w2 = width ** 2
 
-        def val(p):
-            return np.exp(-np.sum((p - c) ** 2, axis=1) / (2.0 * w2))
+        def bump(p):
+            """p - c, r^2 = |p - c|^2 and the bump's value exp(-r^2 / 2w^2), once per call."""
+            d = p - c
+            r2 = _squared_norms(d)
+            return d, r2, np.exp(-r2 / (2.0 * w2))
 
         def grad(p):
-            return -(p - c) / w2 * val(p)[:, None]
+            d, _, v = bump(p)
+            return -d / w2 * v[:, None]
 
         def lap(p):
-            r2 = np.sum((p - c) ** 2, axis=1)
-            return (r2 / w2 ** 2 - dim / w2) * val(p)
+            _, r2, v = bump(p)
+            return (r2 / w2 ** 2 - dim / w2) * v
 
         def hess(p):
-            d = p - c
+            d, _, v = bump(p)
             outer = np.einsum("ij,ik->ijk", d, d) / w2 ** 2
-            return (outer - np.eye(dim)[None, :, :] / w2) * val(p)[:, None, None]
+            return (outer - np.eye(dim)[None, :, :] / w2) * v[:, None, None]
 
-        return TestFunction(dim=dim, _value=val, _gradient=grad, _laplacian=lap, _hessian=hess)
+        return TestFunction(dim=dim, _value=lambda p: bump(p)[2], _gradient=grad,
+                            _laplacian=lap, _hessian=hess)
 
     @staticmethod
     def sine_mode(k, grid):

@@ -38,7 +38,7 @@ from enum import Enum
 
 import numpy as np
 
-from .domain import BoundaryData, FieldAdapter, boundary_quadrature
+from .domain import BoundaryData, FieldAdapter, _squared_norms, boundary_quadrature
 from .errors import MissingBoundaryData
 from .riesz import FieldRequest, PotentialRequest, riesz_potential_point
 from .special import FractionalOrder, h_constant, riesz_constant
@@ -124,34 +124,39 @@ def fraclap_restated(req: FracLapRequest, x) -> float:
 def _boundary_rays(bq, xi):
     """Rays from xi to the boundary points, (M, d), and their lengths."""
     rv = bq.points - xi
-    return rv, np.sqrt(np.sum(rv * rv, axis=1))
+    return rv, np.sqrt(_squared_norms(rv))
 
 
-def fraclap_hypersingular(req: FracLapRequest, x) -> float:
-    """-(1/h) times the f.p. integral of phi(xi) r^-(d+s) over the domain, x interior."""
-    req.grid.check_margin(x)
+def _finite_part(req, xi, rays):
+    """The finite-part body at the point xi, (d,), given the rays from xi to ``req.bq``."""
     grid, s, d = req.grid, req.s, req.grid.dim
-    fld, rule = req.fld(), req.rule.build(grid, x, -(d - 2.0 + s))
-    xi = np.asarray(x, float).reshape(d)
+    fld, rule = req.fld(), req.rule.build(grid, xi, -(d - 2.0 + s))
     px, gx = fld.value_at(xi), fld.gradient_at(xi)
     # numeric part: two-term Taylor remainder over r^2, against r^-(d-2+s)
     rem = fld.value(rule.nodes) - px - (rule.nodes - xi) @ gx
     num = rule.integrate_kernel(rem / rule.dist ** 2)
     # subtracted terms: finite parts reduced to boundary fluxes (divergence theorem)
-    bq = req.bq
-    rv, rr = _boundary_rays(bq, xi)
-    w, normals = bq.weights, bq.normals
+    rv, rr = rays
+    w, normals = req.bq.weights, req.bq.normals
     fp0 = -(1.0 / s) * float(np.sum(w * rr ** (-(d + s)) * np.einsum("ij,ij->i", rv, normals)))
     fp1 = -(1.0 / (d - 2.0 + s)) * np.sum((w * rr ** (-(d - 2.0 + s)))[:, None] * normals, axis=0)
     return float(-(num + px * fp0 + gx @ fp1) / h_constant(d, s, req.mode))
 
 
+def fraclap_hypersingular(req: FracLapRequest, x) -> float:
+    """-(1/h) times the f.p. integral of phi(xi) r^-(d+s) over the domain, x interior."""
+    req.grid.check_margin(x)
+    xi = np.asarray(x, float).reshape(req.grid.dim)
+    return _finite_part(req, xi, _boundary_rays(req.bq, xi))
+
+
 # ---------------------------------------------------------------------------
 # boundary-augmented form
 
-def surface_integral(req: FracLapRequest, x) -> float:
+def surface_integral(req: FracLapRequest, x, rays=None) -> float:
     """Boundary-trace integral of the augmented form at x, with the kernels of
-    ``req.definition``.
+    ``req.definition``; ``rays`` are the rays from x to the boundary points, if
+    the caller has them already.
 
     ``augmented`` (and every other definition): c(d, 2-s) * surface integral
     of [D * dv/dn - v * N] with v = r^-(d-2+s).  ``augmented-asprinted`` uses
@@ -162,7 +167,7 @@ def surface_integral(req: FracLapRequest, x) -> float:
     bd = req.boundary
     bq = bd.quadrature
     d, s = req.grid.dim, req.s
-    rv, rr = _boundary_rays(bq, np.asarray(x, float).reshape(d))
+    rv, rr = rays or _boundary_rays(bq, np.asarray(x, float).reshape(d))
     rhat_n = np.einsum("ij,ij->i", rv / rr[:, None], bq.normals)
     if req.definition is Definition.AUGMENTED_AS_PRINTED:
         beta = d + s
@@ -176,8 +181,12 @@ def surface_integral(req: FracLapRequest, x) -> float:
 
 
 def fraclap_augmented(req: FracLapRequest, x) -> float:
-    """The finite-part body plus the surface term of ``req.definition``."""
-    return fraclap_hypersingular(req, x) + surface_integral(req, x)
+    """The finite-part body plus the surface term of ``req.definition``, both on one
+    set of rays from x to the boundary points."""
+    req.grid.check_margin(x)
+    xi = np.asarray(x, float).reshape(req.grid.dim)
+    rays = _boundary_rays(req.bq, xi)
+    return _finite_part(req, xi, rays) + surface_integral(req, xi, rays)
 
 
 # ---------------------------------------------------------------------------

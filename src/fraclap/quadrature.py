@@ -182,8 +182,10 @@ def graded_quadrature_rule(domain, singular_point, power=0.0, radial_order=DEFAU
         raise ValueError(f"radial order must be >= 1, got {radial_order!r}")
     if gauss_order < 1:
         raise ValueError(f"gauss order must be >= 1, got {gauss_order!r}")
-    bounds = getattr(domain, "bounds", domain)
-    lo, hi = tuple(map(float, bounds[0::2])), tuple(map(float, bounds[1::2]))
+    if hasattr(domain, "lo"):  # a Grid: its corners are float tuples already
+        lo, hi = domain.lo, domain.hi
+    else:
+        lo, hi = tuple(map(float, domain[0::2])), tuple(map(float, domain[1::2]))
     d = len(lo)
     if not power > -d:  # written so that NaN fails too
         raise ValueError(f"r^power is not integrable in {d}D unless power > -{d}, got {power!r}")

@@ -230,6 +230,43 @@ class TestExitCodes:
         assert cli.main(["matpow", *source, "--s", "1.0"]) == 2
         assert "ValueError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        lambda path: ["matpow", "--matrix", path, "--s", "1.0"],
+        lambda path: ["matpow", "--assemble", "1d:4,1", "--s", "1.0", "--apply", path],
+        lambda path: ["diffuse", "--assemble", "1d:4,1", "--s", "1.0", "--times", "0,0.1",
+                      "--ic", "file:" + path],
+    ], ids=["matrix", "apply", "diffuse"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_input_file_is_two(self, tmp_path, capsys, argv, kind):
+        # a file that cannot be opened is an argument error, named on stderr, no traceback
+        path = tmp_path / "none.csv"
+        if kind == "directory":
+            path.mkdir()
+        assert cli.main(argv(str(path))) == 2
+        captured = capsys.readouterr()
+        assert str(path) in captured.err and "Traceback" not in captured.err
+        assert captured.err.startswith(("FileNotFoundError: ", "IsADirectoryError: "))
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["fraclap", "--d", "1", "--domain", "0,1", "--s", "0.5", "--def", "new",
+         "--func", "quad", "--points", "0.5"],
+        ["matpow", "--assemble", "1d:4,1", "--s", "1.0"],
+        ["diffuse", "--assemble", "1d:4,1", "--s", "1.0", "--ic", "sine:1", "--times", "0"],
+    ], ids=["fraclap", "matpow", "diffuse"])
+    def test_unwritable_out_is_two(self, tmp_path, capsys, argv):
+        out = tmp_path / "no-such-dir" / "out.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("FileNotFoundError: ") and str(out) in err
+
+    def test_missing_file_from_the_console(self, tmp_path):
+        path = tmp_path / "none.csv"
+        r = run_cli("matpow", "--matrix", str(path), "--s", "1")
+        assert r.returncode == 2
+        assert str(path) in r.stderr and "Traceback" not in r.stderr
+
+
 _FRACLAP_1D = ["fraclap", "--d", "1", "--domain", "0,1", "--s", "0.5", "--def", "new",
                "--func", "quad"]
 _POTENTIAL_1D = ["potential", "--d", "1", "--domain", "0,1", "--sigma", "0.5", "--func", "quad"]

@@ -446,6 +446,67 @@ class TestSampledField:
         assert r.stdout.strip().splitlines()[-1] == "[]"  # every rule from one Gauss builder
 
 
+def _bump_as_written(center, width):
+    """The gaussian bump's value, gradient, Laplacian and Hessian of (N, d) points, each
+    with r^2 reduced by ``np.sum`` over the coordinate axis and the Laplacian computing
+    it twice: the formulas the column-wise r^2 must reproduce bit for bit."""
+    c, w2 = np.atleast_1d(np.asarray(center, float)), float(width) ** 2
+    dim = len(c)
+
+    def val(p):
+        return np.exp(-np.sum((p - c) ** 2, axis=1) / (2.0 * w2))
+
+    def grad(p):
+        return -(p - c) / w2 * val(p)[:, None]
+
+    def lap(p):
+        r2 = np.sum((p - c) ** 2, axis=1)
+        return (r2 / w2 ** 2 - dim / w2) * val(p)
+
+    def hess(p):
+        d = p - c
+        outer = np.einsum("ij,ik->ijk", d, d) / w2 ** 2
+        return (outer - np.eye(dim)[None, :, :] / w2) * val(p)[:, None, None]
+
+    return val, grad, lap, hess
+
+
+def _assert_bump_bits(center, width, pts):
+    f = TestFunction.gaussian_bump(center, width)
+    mine = (f._value, f._gradient, f._laplacian, f._hessian)
+    for name, got, want in zip(("value", "gradient", "laplacian", "hessian"), mine,
+                               _bump_as_written(center, width)):
+        assert np.array_equal(got(pts), want(pts)), name
+
+
+class TestGaussianBumpBits:
+    """r^2 summed column by column, once per call, gives the bits of the reduction."""
+
+    @pytest.mark.parametrize("center, width", [([0.5], 0.2), ([-1.3], 3.0),
+                                               ([0.4, 0.6], 0.25), ([2.0, -0.7], 0.05)])
+    def test_every_evaluator_is_bit_identical(self, center, width):
+        pts = np.random.default_rng(23).uniform(-2.0, 2.0, (4096, len(center)))
+        _assert_bump_bits(center, width, pts)
+
+    def test_public_layout_is_bit_identical(self):
+        xs = np.linspace(-0.3, 1.3, 101)
+        f = TestFunction.gaussian_bump([0.45], 0.2)
+        val, grad, lap, _ = _bump_as_written([0.45], 0.2)
+        assert np.array_equal(f.value(xs), val(xs[:, None]))
+        assert np.array_equal(f.gradient(xs), grad(xs[:, None])[:, 0])
+        assert np.array_equal(f.laplacian(xs), lap(xs[:, None]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), data=st.data(),
+           width=st.floats(1e-3, 10.0))
+    def test_bits_over_centres_widths_and_points(self, dim, data, width):
+        coord = st.floats(-10.0, 10.0)
+        center = data.draw(st.lists(coord, min_size=dim, max_size=dim))
+        rows = data.draw(st.lists(st.lists(coord, min_size=dim, max_size=dim),
+                                  min_size=1, max_size=12))
+        _assert_bump_bits(center, width, np.array(rows, float))
+
+
 class TestBoundaryData:
     def test_from_function_traces(self):
         g = make_interval_grid(0.0, 1.0, 11)

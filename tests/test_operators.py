@@ -278,6 +278,48 @@ class TestAugmentedForm:
                     fraclap_hypersingular(req, x) + surface_integral(req, x))
 
 
+class TestAugmentedSharesRays:
+    """The augmented route is the finite-part body plus the surface term, exactly, and
+    computes the rays from each point to the boundary once for both."""
+
+    @pytest.mark.parametrize("dfn", [Definition.AUGMENTED, Definition.AUGMENTED_AS_PRINTED])
+    @pytest.mark.parametrize("s", [0.5, 0.75, 1.5])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_augmented_is_hyper_plus_surface_exactly(self, d, s, dfn):
+        if d == 1:
+            grid, phi = make_interval_grid(0.0, 1.0, 21), TestFunction.gaussian_bump([0.45], 0.2)
+        else:
+            grid = make_rectangle_grid(0.0, 1.0, 0.0, 1.0, 13, 13)
+            phi = TestFunction.gaussian_bump([0.45, 0.55], 0.2)
+        req = _with_bc(grid, phi, s, dfn)
+        pts = req.grid.interior_nodes()[::5]
+        got = np.array([fraclap_augmented(req, x) for x in pts])
+        want = np.array([fraclap_hypersingular(req, x) + surface_integral(req, x) for x in pts])
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("dfn", [Definition.AUGMENTED, Definition.AUGMENTED_AS_PRINTED])
+    def test_boundary_rays_computed_once_per_point(self, monkeypatch, dfn):
+        grid = make_rectangle_grid(0.0, 1.0, 0.0, 1.0, 13, 13)
+        phi = TestFunction.gaussian_bump([0.5, 0.5], 0.2)
+        rays, compute = [], operators._boundary_rays
+        monkeypatch.setattr(operators, "_boundary_rays",
+                            lambda bq, xi: rays.append(xi) or compute(bq, xi))
+        req = FracLapRequest(grid=grid, phi=phi, s=1.25, eval_points=grid.interior_nodes(),
+                             definition=dfn,
+                             boundary=BoundaryData.from_function(boundary_quadrature(grid), phi))
+        assert len(evaluate(req)) == 81
+        assert len(rays) == 81
+
+    def test_margin_checked_before_any_ray(self, monkeypatch):
+        grid = make_interval_grid(0.0, 1.0, 21)
+        req = _with_bc(grid, TestFunction.quadratic(dim=1), 0.5, Definition.AUGMENTED)
+        rays = []
+        monkeypatch.setattr(operators, "_boundary_rays", lambda bq, xi: rays.append(xi))
+        with pytest.raises(ValueError, match="interior margin"):
+            fraclap_augmented(req, 0.05)
+        assert rays == []
+
+
 class TestEvaluateDispatch:
     def test_all_definitions_1d(self):
         grid = make_interval_grid(0.0, 1.0, 21)

@@ -297,6 +297,24 @@ class TestGradedRuleFans:
         assert rule.integrate_kernel() == pytest.approx(expect, rel=1e-7)
 
 
+class TestGridCorners:
+    """A Grid's own float corners build the same rule as its bounds tuple, bit for bit."""
+
+    @pytest.mark.parametrize("grid, points", [
+        (make_interval_grid(0.0, 1.0, 21), [0.1, 0.37, 0.5, 0.93]),
+        (make_interval_grid(-0.5, 1.5, 41), [-0.4, 0.2, 1.45]),
+        (make_rectangle_grid(0.0, 1.0, 0.0, 1.0, 13, 13), [[0.2, 0.8], [0.5, 0.5], [0.61, 0.17]]),
+        (make_rectangle_grid(0.0, 2.0, -1.0, 1.0, 41, 21), [[0.3, -0.9], [1.7, 0.4]]),
+    ], ids=["unit", "shifted", "square", "rectangle"])
+    @pytest.mark.parametrize("power", [0.0, -0.75, 0.5])
+    def test_grid_and_bounds_give_one_rule(self, grid, points, power):
+        for x in points:
+            a = graded_quadrature_rule(grid, x, power - (grid.dim - 1))
+            b = graded_quadrature_rule(grid.bounds, x, power - (grid.dim - 1))
+            for name in ("nodes", "weights", "dist"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), (x, name)
+
+
 class TestFanJacobians:
     """Each fan's Jacobian is the point's distance to the facet times the facet's size,
     from ``box_facets``.  With one radial node and power 0 a fan's weights are that
