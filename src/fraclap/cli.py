@@ -140,41 +140,35 @@ def _eval_points(args, grid):
     return _parse_points(args.points, grid.dim)
 
 
-def _rule(args):
-    return RuleParams(radial_order=args.radial, gauss_order=args.gauss)
-
-
-def _common_params(args, grid):
-    return {
-        "d": grid.dim,
-        "domain": list(grid.bounds),
-        "constant_mode": args.constant,
-        "radial_order": args.radial,
-        "gauss_order": args.gauss,
-    }
+def _field_setup(args):
+    """What ``potential`` and ``fraclap`` share: the grid, field, constant mode and rule
+    as request keywords, and the manifest parameters."""
+    grid = _parse_domain(args.domain, args.d)
+    request = {"grid": grid, "phi": _parse_func(args.func, grid),
+               "mode": ConstantMode.parse(args.constant),
+               "rule": RuleParams(radial_order=args.radial, gauss_order=args.gauss)}
+    params = {"d": grid.dim, "domain": list(grid.bounds), "constant_mode": args.constant,
+              "radial_order": args.radial, "gauss_order": args.gauss, "func": args.func,
+              "points": args.points, "all_interior": args.all_interior}
+    return request, params
 
 
 # ---------------------------------------------------------------------------
 
 def _cmd_potential(args):
-    grid = _parse_domain(args.domain, args.d)
-    phi = _parse_func(args.func, grid)
-    req = PotentialRequest(grid=grid, phi=phi, sigma=args.sigma,
-                           eval_points=_eval_points(args, grid),
-                           mode=ConstantMode.parse(args.constant), rule=_rule(args))
+    request, params = _field_setup(args)
+    grid = request["grid"]
+    req = PotentialRequest(sigma=args.sigma, eval_points=_eval_points(args, grid), **request)
     values = [v for _, v in riesz_potential_field(req)]
     header = "x,value" if grid.dim == 1 else "x,y,value"
     rows = _matrix_rows(np.column_stack([req.eval_points, values]))
-    params = _common_params(args, grid)
-    params.update({"sigma": args.sigma, "func": args.func,
-                   "points": args.points, "all_interior": args.all_interior})
-    _write_output(args, header, rows, params)
+    _write_output(args, header, rows, {**params, "sigma": args.sigma})
     return 0
 
 
 def _cmd_fraclap(args):
-    grid = _parse_domain(args.domain, args.d)
-    phi = _parse_func(args.func, grid)
+    request, params = _field_setup(args)
+    grid = request["grid"]
     defs = [Definition.parse(t) for t in args.definition]
     if not defs:
         raise ValueError("at least one --def is required")
@@ -183,7 +177,7 @@ def _cmd_fraclap(args):
     if needs_bc:
         bq = boundary_quadrature(grid)
         if args.bc_from_func:
-            boundary = BoundaryData.from_function(bq, phi)
+            boundary = BoundaryData.from_function(bq, request["phi"])
         elif args.dirichlet is not None and args.neumann is not None:
             boundary = BoundaryData.from_values(bq, args.dirichlet, args.neumann)
         else:
@@ -193,9 +187,8 @@ def _cmd_fraclap(args):
     pts = _eval_points(args, grid)
     values = {}
     for dfn in dict.fromkeys(defs):  # a repeated --def is evaluated once
-        req = FracLapRequest(grid=grid, phi=phi, s=args.s, eval_points=pts,
-                             mode=ConstantMode.parse(args.constant),
-                             definition=dfn, boundary=boundary, rule=_rule(args))
+        req = FracLapRequest(s=args.s, eval_points=pts, definition=dfn, boundary=boundary,
+                             **request)
         values[dfn] = [v for _, v in evaluate(req)]
     names = [d.value for d in defs]
     cols = [np.asarray(values[d], float) for d in defs]
@@ -212,10 +205,7 @@ def _cmd_fraclap(args):
     else:
         header = ",".join([coord_hdr, *names,
                            *(f"reldiff_{names[i]}_{names[j]}" for i, j in pairs)])
-    params = _common_params(args, grid)
-    params.update({"s": args.s, "func": args.func, "definitions": names,
-                   "points": args.points, "all_interior": args.all_interior,
-                   "bc_from_func": args.bc_from_func,
+    params.update({"s": args.s, "definitions": names, "bc_from_func": args.bc_from_func,
                    "dirichlet": args.dirichlet, "neumann": args.neumann})
     _write_output(args, header, rows, params)
     return 0

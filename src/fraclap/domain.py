@@ -326,6 +326,10 @@ class TestFunction:
         samples' central second differences, mixed terms included, and the
         Laplacian the interpolant of their trace; both are built on first use.
         The gradient is a central difference of the value interpolant.
+
+        At a grid node, ``hyper`` and ``augmented`` on sampled input have no limit
+        for s >= 1: the interpolant's kink leaves a Taylor remainder of order r,
+        not r^2, so the value doubles each time the radial order doubles.
         """
         samples = np.asarray(values, float)
         shape = tuple(len(ax) for ax in grid.axes)

@@ -17,17 +17,22 @@ Routes implemented, all for order s in (0, 2):
                       1/h on the surface as well, for comparison studies only.
                       Both read finite boundary traces from a ``BoundaryData``.
 
-The Hadamard finite part is computed by two-term Taylor subtraction, with
-one body for both dimensions.  The finite parts of the subtracted terms
-reduce, by the divergence theorem, to boundary fluxes over the boundary
-quadrature (in 1D: the two endpoints, normals -1 and +1, weight 1):
+Every boundary term is one Green boundary sum of traces D and N over the
+boundary quadrature (in 1D: the two endpoints, normals -1 and +1, weight 1):
 
-    fp0 = -(1/s) * surface integral of r^-(d+s) (r . n)
-    fp1 = -1/(d-2+s) * surface integral of r^-(d-2+s) n
+    B_beta[D, N] = surface integral of (D dv/dn - v N),  v = r^-beta.
 
-The remainder R = phi(xi) - phi(x) - (xi - x).grad phi(x) is O(r^2), so
-R r^-(d+s) is integrated as (R / r^2) r^-(d-2+s): a smooth factor against the
-same kernel as the ``new`` route, on the same Gauss-Jacobi rule (beta = 1-s).
+The Hadamard finite part is computed by two-term Taylor subtraction, with one
+body for both dimensions.  The remainder R = phi(xi) - phi(x) - (xi - x).grad phi(x)
+is O(r^2), so R r^-(d+s) is integrated as (R / r^2) r^-(d-2+s), giving ``num``: a
+smooth factor against the ``new`` route's kernel, on the same Gauss-Jacobi rule.
+By the divergence theorem the subtracted terms' finite parts are the boundary
+sum of D = -phi(x) and N = -s grad phi(x).n.  Since 1/h = c (d-2+s) s, with
+c = c(d, 2-s) and beta = d-2+s every integral route scales by c:
+
+    hyper                 c (B_beta[-phi(x), -s grad phi(x).n] - beta s num)
+    augmented surface     c B_beta[D, N] of the boundary data's traces
+    as-printed surface    c beta s B_{d+s}[D, N]
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ import numpy as np
 from .domain import BoundaryData, FieldAdapter, _squared_norms, boundary_quadrature
 from .errors import MissingBoundaryData
 from .riesz import FieldRequest, PotentialRequest, riesz_potential_point
-from .special import FractionalOrder, h_constant, riesz_constant
+from .special import FractionalOrder, riesz_constant
 
 __all__ = ["Definition", "FracLapRequest", "fraclap_restated", "fraclap_hypersingular",
            "fraclap_new", "fraclap_augmented", "surface_integral", "evaluate"]
@@ -127,6 +132,16 @@ def _boundary_rays(bq, xi):
     return rv, np.sqrt(_squared_norms(rv))
 
 
+def _boundary_sum(bq, rays, beta, dirichlet, neumann):
+    """Green's boundary sum over ``bq``: the sum of w (D dv/dn - v N), v = r^-beta,
+    given the rays from the point to the boundary points; D and N are the traces,
+    scalars or one value per boundary point."""
+    rv, rr = rays
+    v = rr ** (-beta)
+    dvdn = -beta * rr ** (-(beta + 2.0)) * np.einsum("ij,ij->i", rv, bq.normals)
+    return float(np.sum(bq.weights * (dirichlet * dvdn - v * neumann)))
+
+
 def _finite_part(req, xi, rays):
     """The finite-part body at the point xi, (d,), given the rays from xi to ``req.bq``."""
     grid, s, d = req.grid, req.s, req.grid.dim
@@ -135,12 +150,9 @@ def _finite_part(req, xi, rays):
     # numeric part: two-term Taylor remainder over r^2, against r^-(d-2+s)
     rem = fld.value(rule.nodes) - px - (rule.nodes - xi) @ gx
     num = rule.integrate_kernel(rem / rule.dist ** 2)
-    # subtracted terms: finite parts reduced to boundary fluxes (divergence theorem)
-    rv, rr = rays
-    w, normals = req.bq.weights, req.bq.normals
-    fp0 = -(1.0 / s) * float(np.sum(w * rr ** (-(d + s)) * np.einsum("ij,ij->i", rv, normals)))
-    fp1 = -(1.0 / (d - 2.0 + s)) * np.sum((w * rr ** (-(d - 2.0 + s)))[:, None] * normals, axis=0)
-    return float(-(num + px * fp0 + gx @ fp1) / h_constant(d, s, req.mode))
+    # subtracted terms: the boundary sum of the traces -phi(x) and -s grad phi(x) . n
+    taylor = _boundary_sum(req.bq, rays, d - 2.0 + s, -px, -s * (req.bq.normals @ gx))
+    return float(riesz_constant(d, 2.0 - s, req.mode) * (taylor - (d - 2.0 + s) * s * num))
 
 
 def fraclap_hypersingular(req: FracLapRequest, x) -> float:
@@ -158,26 +170,18 @@ def surface_integral(req: FracLapRequest, x, rays=None) -> float:
     ``req.definition``; ``rays`` are the rays from x to the boundary points, if
     the caller has them already.
 
-    ``augmented`` (and every other definition): c(d, 2-s) * surface integral
-    of [D * dv/dn - v * N] with v = r^-(d-2+s).  ``augmented-asprinted`` uses
-    v = r^-(d+s) under the prefactor 1/h instead.
+    ``augmented`` (and every other definition): c(d, 2-s) times the boundary sum
+    of the traces with v = r^-(d-2+s).  ``augmented-asprinted`` uses v = r^-(d+s)
+    under the prefactor 1/h = c(d, 2-s) (d-2+s) s instead.
     """
     if req.boundary is None:
         raise MissingBoundaryData("surface integral requires boundary data")
-    bd = req.boundary
-    bq = bd.quadrature
-    d, s = req.grid.dim, req.s
-    rv, rr = rays or _boundary_rays(bq, np.asarray(x, float).reshape(d))
-    rhat_n = np.einsum("ij,ij->i", rv / rr[:, None], bq.normals)
+    bd, d, s = req.boundary, req.grid.dim, req.s
+    rays = rays or _boundary_rays(req.bq, np.asarray(x, float).reshape(d))
+    beta, pref = d - 2.0 + s, riesz_constant(d, 2.0 - s, req.mode)
     if req.definition is Definition.AUGMENTED_AS_PRINTED:
-        beta = d + s
-        pref = 1.0 / h_constant(d, s, req.mode)
-    else:
-        beta = d - 2.0 + s
-        pref = riesz_constant(d, 2.0 - s, req.mode)
-    v = rr ** (-beta)
-    dvdn = -beta * rr ** (-(beta + 1.0)) * rhat_n
-    return pref * float(np.sum(bq.weights * (bd.dirichlet * dvdn - v * bd.neumann)))
+        beta, pref = d + s, pref * (d - 2.0 + s) * s
+    return pref * _boundary_sum(req.bq, rays, beta, bd.dirichlet, bd.neumann)
 
 
 def fraclap_augmented(req: FracLapRequest, x) -> float:

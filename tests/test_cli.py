@@ -669,6 +669,24 @@ class TestReproducibility:
         assert manifest["parameters"]["sigma"] == 0.5
         assert "version" in manifest
 
+    _SHARED_KEYS = ["all_interior", "constant_mode", "d", "domain", "func", "gauss_order",
+                    "points", "radial_order"]
+
+    @pytest.mark.parametrize("argv,own_keys", [
+        (["potential", "--d", "2", "--domain", "0,1,0,1", "--sigma", "0.5",
+          "--func", "gauss:0.5,0.5,0.2", "--points", "0.5,0.5"], ["sigma"]),
+        (["fraclap", "--d", "1", "--domain", "0,1", "--s", "0.5", "--def", "augmented",
+          "--func", "quad", "--points", "0.5", "--dirichlet", "0", "--neumann", "1"],
+         ["bc_from_func", "definitions", "dirichlet", "neumann", "s"]),
+    ], ids=["potential", "fraclap"])
+    def test_manifest_keys(self, tmp_path, capsys, argv, own_keys):
+        # the set-up the two commands share neither drops a parameter nor adds one
+        out = tmp_path / "t.csv"
+        assert cli.main([*argv, "--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+        assert sorted(manifest) == ["command", "notes", "parameters", "version"]
+        assert sorted(manifest["parameters"]) == sorted(self._SHARED_KEYS + own_keys)
+
     def test_seventeen_digit_output(self, tmp_path):
         out = tmp_path / "p.csv"
         run_cli("potential", "--d", "1", "--domain", "0,1", "--sigma", "0.5",

@@ -4,18 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import hyp2f1
 
 from fraclap import operators
-from fraclap.domain import (BoundaryData, TestFunction, boundary_quadrature,
+from fraclap.domain import (BoundaryData, FieldAdapter, TestFunction, boundary_quadrature,
                             make_interval_grid, make_rectangle_grid)
 from fraclap.errors import (GammaPole, MissingBoundaryData)
 from fraclap.operators import (Definition, FracLapRequest, evaluate,
                                fraclap_augmented, fraclap_hypersingular,
                                fraclap_new, fraclap_restated, surface_integral)
 from fraclap.riesz import FieldRequest, PotentialRequest, RuleParams, riesz_potential_point
-from fraclap.special import ConstantMode
+from fraclap.special import ConstantMode, h_constant, riesz_constant
 
 
 def _c(d, sigma):
@@ -318,6 +320,100 @@ class TestAugmentedSharesRays:
         with pytest.raises(ValueError, match="interior margin"):
             fraclap_augmented(req, 0.05)
         assert rays == []
+
+
+def _grid_and_field(d):
+    if d == 1:
+        return make_interval_grid(0.0, 1.0, 21), TestFunction.gaussian_bump([0.45], 0.2)
+    return (make_rectangle_grid(0.0, 1.3, 0.0, 0.9, 13, 11),
+            TestFunction.gaussian_bump([0.6, 0.4], 0.25))
+
+
+def _reference_terms(req, x):
+    """The finite part and both surface terms as first written, on their own rules, each
+    with its scale, the sum of its summands' magnitudes: the subtracted terms' boundary
+    fluxes fp0 and fp1 and the as-printed surface under 1/h, the rigorous surface under
+    c(d, 2-s), dv/dn through the unit ray."""
+    grid, s, d = req.grid, req.s, req.grid.dim
+    xi = np.asarray(x, float).reshape(d)
+    fld, rule = FieldAdapter(req.field), req.rule.build(grid, xi, -(d - 2.0 + s))
+    px, gx = fld.value_at(xi), fld.gradient_at(xi)
+    num = rule.integrate_kernel((fld.value(rule.nodes) - px - (rule.nodes - xi) @ gx)
+                                / rule.dist ** 2)
+    bq = boundary_quadrature(grid)
+    rv = bq.points - xi
+    rr = np.linalg.norm(rv, axis=1)
+    rhat_n = np.sum(rv / rr[:, None] * bq.normals, axis=1)
+    fp0_terms = bq.weights * rr ** (-(d + s)) * np.sum(rv * bq.normals, axis=1) / s
+    fp1_terms = (bq.weights * rr ** (-(d - 2.0 + s)))[:, None] * bq.normals / (d - 2.0 + s)
+    fp0, fp1 = -np.sum(fp0_terms), -np.sum(fp1_terms, axis=0)
+    inv_h = 1.0 / h_constant(d, s, req.mode)
+    bd = req.boundary
+
+    def surface(pref, beta):
+        v, dvdn = rr ** (-beta), -beta * rr ** (-(beta + 1.0)) * rhat_n
+        flux, trace = bd.dirichlet * dvdn, v * bd.neumann
+        return (pref * np.sum(bq.weights * (flux - trace)),
+                abs(pref) * np.sum(bq.weights * (np.abs(flux) + np.abs(trace))))
+    magnitude = abs(num) + abs(px) * np.sum(np.abs(fp0_terms)) + np.sum(np.abs(fp1_terms @ gx))
+    return {"hyper": (-(num + px * fp0 + gx @ fp1) * inv_h, abs(inv_h) * magnitude),
+            Definition.AUGMENTED: surface(riesz_constant(d, 2.0 - s, req.mode), d - 2.0 + s),
+            Definition.AUGMENTED_AS_PRINTED: surface(inv_h, d + s)}
+
+
+def _worst_against_reference(d, s, mode, pts):
+    """The largest distance, over ``pts``, of ``hyper``, both surface terms and both
+    augmented routes from the reference, each over its scale."""
+    grid, phi = _grid_and_field(d)
+    bd = BoundaryData.from_function(boundary_quadrature(grid), phi)
+    reqs = {dfn: _req(grid, phi, s, definition=dfn, boundary=bd, mode=mode)
+            for dfn in (Definition.AUGMENTED, Definition.AUGMENTED_AS_PRINTED)}
+    worst = {}
+    for x in pts:
+        ref = _reference_terms(reqs[Definition.AUGMENTED], x)
+        vh, sh = ref["hyper"]
+        for dfn, req in reqs.items():
+            vs, ss = ref[dfn]
+            for name, got, want, scale in (
+                    ("hyper", fraclap_hypersingular(req, x), vh, sh),
+                    (f"surface {dfn.value}", surface_integral(req, x), vs, ss),
+                    (dfn.value, fraclap_augmented(req, x), vh + vs, sh + ss)):
+                worst[name] = max(worst.get(name, 0.0), abs(got - want) / scale)
+    return worst
+
+
+class TestBoundarySumAgainstFirstFormula:
+    """``hyper``, ``augmented``, ``augmented-asprinted`` and their surface terms, all one
+    Green boundary sum under c(d, 2-s), against the finite part written with fp0 and fp1
+    under 1/h and the surface terms written with their own prefactors."""
+
+    @pytest.mark.parametrize("mode", list(ConstantMode))
+    @pytest.mark.parametrize("d,s", [(d, s) for d in (1, 2)
+                                     for s in (0.25, 0.5, 0.75, 1.25, 1.5, 1.9)] + [(2, 1.0)])
+    def test_within_round_off_of_the_reference(self, d, s, mode):
+        grid, _ = _grid_and_field(d)
+        worst = _worst_against_reference(d, s, mode, grid.interior_nodes()[::4])
+        assert max(worst.values()) <= 1e-13, worst
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([1, 2]), mode=st.sampled_from(list(ConstantMode)),
+           s=st.floats(0.05, 1.95), u=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    def test_any_point_inside_the_margin(self, d, mode, s, u):
+        assume(abs(d - 2.0 + s) >= 1e-2)  # the 1D pole has its own test below
+        grid, _ = _grid_and_field(d)
+        lo, hi = np.asarray(grid.lo) + grid.margin, np.asarray(grid.hi) - grid.margin
+        x = lo + np.asarray(u[:d]) * (hi - lo)
+        assert max(_worst_against_reference(d, s, mode, [x]).values()) <= 1e-13
+
+    @pytest.mark.parametrize("mode", list(ConstantMode))
+    @pytest.mark.parametrize("s", [1.0 - 1e-3, 1.0 + 1e-3, 1.0 - 1e-5, 1.0 + 1e-5])
+    def test_near_the_1d_pole(self, s, mode):
+        # c(1, 2-s) is evaluated at the rounded sigma = 2 - s, and the pole of
+        # Gamma((1-sigma)/2) at s = 1 amplifies its rounding, up to 1.1e-16, by 1/|s-1|;
+        # the reference's 1/h reads s itself
+        grid, _ = _grid_and_field(1)
+        worst = _worst_against_reference(1, s, mode, grid.interior_nodes()[::4])
+        assert max(worst.values()) <= 1e-13 + 1.2e-16 / abs(s - 1.0), worst
 
 
 class TestEvaluateDispatch:
