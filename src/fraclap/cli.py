@@ -3,7 +3,12 @@
 Subcommands: ``potential``, ``fraclap``, ``validate``, ``matpow``,
 ``diffuse``.  Output is CSV with a header row and 17-significant-digit
 doubles; runs with ``--out`` also write ``FILE.manifest.json`` capturing all
-parameters so identical manifests imply bit-identical CSV.
+parameters so identical manifests imply bit-identical CSV.  Every table is
+written a block at a time, each block one ``%`` template filled in one pass
+with one conversion per number; a constant column (the single ``--def``
+name, a ``diffuse`` slice's time and norm) is text in the template, not a
+field.  Input CSVs may end their lines with ``\\n``, ``\\r\\n`` or ``\\r``, and
+blank lines are skipped.
 
 Exit codes: 0 success, 1 failed validation checks, 2 argument errors (an
 input file that cannot be read or an ``--out`` that cannot be written
@@ -53,13 +58,15 @@ def _doubles(n, sep):
     return sep.join(["%.17g"] * n)
 
 
-def _matrix_rows(m):
+def _matrix_rows(m, tail=""):
     """The CSV lines of a 2D array, one ``%`` pass per row.
 
     Every table goes through here: ``potential`` and ``fraclap`` pass their
-    points beside their value columns, ``matpow`` the dense power.
+    points beside their value columns, ``matpow`` the dense power.  ``tail``
+    ends every row's template: the text of a constant last column, with no
+    ``%`` in it, so it costs nothing per row.
     """
-    row = _doubles(m.shape[1], ",")
+    row = _doubles(m.shape[1], ",") + tail
     return [row % tuple(r) for r in m.tolist()]
 
 
@@ -68,12 +75,14 @@ def _write_output(args, header, rows, extra_params):
 
     The large writers pass blocks, each formatted by one ``%`` pass over a
     template, so no value costs a Python call; ``diffuse`` passes one block
-    per time slice, so its whole output is never one string.
+    per time slice, so its whole output is never one string.  A block and
+    its newline are two writes, so no block is copied to append the newline.
     """
     with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(header + "\n")
         for row in rows:
-            fh.write(row + "\n")
+            fh.write(row)
+            fh.write("\n")
     if args.out:
         manifest = {
             "version": __version__,
@@ -82,8 +91,7 @@ def _write_output(args, header, rows, extra_params):
             "notes": _NOTES,
         }
         with open(args.out + ".manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _parse_domain(text, d):
@@ -197,14 +205,14 @@ def _cmd_fraclap(args):
     for i, j in pairs:
         a, b = cols[i], cols[j]
         cols.append(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300))
-    rows = _matrix_rows(np.column_stack([pts, *cols]))
     coord_hdr = "x" if grid.dim == 1 else "x,y"
     if len(defs) == 1:
-        header = f"{coord_hdr},value,definition"
-        rows = [f"{row},{names[0]}" for row in rows]
+        header, tail = f"{coord_hdr},value,definition", f",{names[0]}"
     else:
         header = ",".join([coord_hdr, *names,
                            *(f"reldiff_{names[i]}_{names[j]}" for i, j in pairs)])
+        tail = ""
+    rows = _matrix_rows(np.column_stack([pts, *cols]), tail)
     params.update({"s": args.s, "definitions": names, "bc_from_func": args.bc_from_func,
                    "dirichlet": args.dirichlet, "neumann": args.neumann})
     _write_output(args, header, rows, params)
@@ -320,23 +328,24 @@ def _parse_ic(spec, stencil):
 def _cmd_diffuse(args):
     """The modal solve at each of ``--times``, as ``t,node,value,norm`` rows.
 
-    Each time slice is one block: a row template built once per command,
-    ``%s,{node},%.17g,%s`` for every node, filled in one ``%`` pass from the
-    slice's values interleaved with its time and norm text.  The norm is
-    ``math.hypot`` of the values, which neither overflows nor underflows.
+    Each time slice is one block.  Its time and norm text, ``ts`` and ``ns``
+    (no ``%`` in either), are constant columns, so they go into the slice's
+    template: the per-node cells ``,{node},%.17g,``, built once per command,
+    joined by ``ns + "\\n" + ts``.  One ``%`` pass fills it with the values
+    alone.  The norm is ``math.hypot`` of the values, which neither overflows
+    nor underflows.
     """
     stencil = _parse_assemble(args.assemble)
     u0 = _parse_ic(args.ic, stencil)
     times = [float(t) for t in args.times.split(",")]
     sols = discrete.modal_diffusion_solve(stencil, args.s, u0, times)
-    template = "\n".join([f"%s,{node},%.17g,%s" for node in range(stencil.n)])
+    cells = [f",{node},%.17g," for node in range(stencil.n)]
 
     def slices():
         for t, u in zip(times, sols):
             vals = u.tolist()
-            fields = [_fmt(t), None, _fmt(math.hypot(*vals))] * stencil.n
-            fields[1::3] = vals
-            yield template % tuple(fields)
+            ts, ns = _fmt(t), _fmt(math.hypot(*vals))
+            yield (ts + (ns + "\n" + ts).join(cells) + ns) % tuple(vals)
     params = {"assemble": args.assemble, "s": args.s, "ic": args.ic,
               "times": times, "boundary_conditions": "homogeneous dirichlet"}
     _write_output(args, "t,node,value,norm", slices(), params)

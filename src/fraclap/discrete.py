@@ -28,7 +28,6 @@ its own single-vector call for ``DirichletStencil``, and agrees to round-off
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -242,12 +241,14 @@ def save_matrix_csv(path, matrix):
 
 def load_matrix_csv(path) -> np.ndarray:
     """The rows of a comma-separated file as a 2D array, blank lines skipped; a file with
-    no row, or text that is not a finite number, ``#`` included, is a ValueError."""
+    no row, or text that is not a finite number, ``#`` included, is a ValueError.  The
+    file is read once and split on ``"\\n"``, to which text mode turns ``"\\r\\n"`` and
+    ``"\\r"``; ``str.splitlines`` would also split a row at a form feed."""
     with open(path) as fh:
-        rows = (ln for ln in fh if ln.strip())
-        if (first := next(rows, None)) is None:
-            raise ValueError(f"{path}: no data, the file is empty or blank")
-        matrix = np.loadtxt(itertools.chain([first], rows), delimiter=",", ndmin=2, comments=None)
+        rows = list(filter(str.strip, fh.read().split("\n")))
+    if not rows:
+        raise ValueError(f"{path}: no data, the file is empty or blank")
+    matrix = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
     if not np.isfinite(matrix).all():
         raise ValueError(f"{path}: entries must be finite, got NaN or infinity")
     return matrix

@@ -46,7 +46,7 @@ import numpy as np
 from .domain import BoundaryData, FieldAdapter, _squared_norms, boundary_quadrature
 from .errors import MissingBoundaryData
 from .riesz import FieldRequest, PotentialRequest, riesz_potential_point
-from .special import FractionalOrder, riesz_constant
+from .special import FractionalOrder, fraclap_constant
 
 __all__ = ["Definition", "FracLapRequest", "fraclap_restated", "fraclap_hypersingular",
            "fraclap_new", "fraclap_augmented", "surface_integral", "evaluate"]
@@ -95,7 +95,7 @@ class FracLapRequest(FieldRequest):
 def fraclap_new(req: FracLapRequest, x) -> float:
     req.grid.check_margin(x)
     d, s = req.grid.dim, req.s
-    c = riesz_constant(d, 2.0 - s, req.mode)
+    c = fraclap_constant(d, s, req.mode)
     rule = req.rule.build(req.grid, x, -(d - 2.0 + s))
     return -c * rule.integrate_kernel(req.fld().laplacian(rule.nodes))
 
@@ -152,7 +152,7 @@ def _finite_part(req, xi, rays):
     num = rule.integrate_kernel(rem / rule.dist ** 2)
     # subtracted terms: the boundary sum of the traces -phi(x) and -s grad phi(x) . n
     taylor = _boundary_sum(req.bq, rays, d - 2.0 + s, -px, -s * (req.bq.normals @ gx))
-    return float(riesz_constant(d, 2.0 - s, req.mode) * (taylor - (d - 2.0 + s) * s * num))
+    return float(fraclap_constant(d, s, req.mode) * (taylor - (d - 2.0 + s) * s * num))
 
 
 def fraclap_hypersingular(req: FracLapRequest, x) -> float:
@@ -178,7 +178,7 @@ def surface_integral(req: FracLapRequest, x, rays=None) -> float:
         raise MissingBoundaryData("surface integral requires boundary data")
     bd, d, s = req.boundary, req.grid.dim, req.s
     rays = rays or _boundary_rays(req.bq, np.asarray(x, float).reshape(d))
-    beta, pref = d - 2.0 + s, riesz_constant(d, 2.0 - s, req.mode)
+    beta, pref = d - 2.0 + s, fraclap_constant(d, s, req.mode)
     if req.definition is Definition.AUGMENTED_AS_PRINTED:
         beta, pref = d + s, pref * (d - 2.0 + s) * s
     return pref * _boundary_sum(req.bq, rays, beta, bd.dirichlet, bd.neumann)

@@ -29,6 +29,7 @@ __all__ = [
     "gamma_ln",
     "gamma_value",
     "riesz_constant",
+    "fraclap_constant",
     "h_constant",
     "radial_laplacian",
 ]
@@ -87,16 +88,31 @@ class FractionalOrder:
         return self
 
 
-def riesz_constant(d: int, sigma: float, mode: ConstantMode = ConstantMode.PAPER) -> float:
-    """Normalization c(d, sigma) of the Riesz potential of order sigma."""
+def _riesz_constant(d, sigma, half_gap, mode):
+    """c(d, sigma), given its Gamma argument ``half_gap`` = (d - sigma)/2."""
     if d not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {d!r}")
     if not 0.0 < sigma < 2.0:
         raise ValueError(f"potential order must satisfy 0 < sigma < 2, got {sigma!r}")
-    num = gamma_value((d - sigma) / 2.0, f"(d-sigma)/2 with d={d}, sigma={sigma}")
+    num = gamma_value(half_gap, f"(d-sigma)/2 with d={d}, sigma={sigma}")
     p = sigma / 2.0 if mode is ConstantMode.PAPER else d / 2.0
     den = math.pi ** p * 2.0 ** sigma * gamma_value(sigma / 2.0)
     return num / den
+
+
+def riesz_constant(d: int, sigma: float, mode: ConstantMode = ConstantMode.PAPER) -> float:
+    """Normalization c(d, sigma) of the Riesz potential of order sigma."""
+    return _riesz_constant(d, sigma, (d - sigma) / 2.0, mode)
+
+
+def fraclap_constant(d: int, s: float, mode: ConstantMode = ConstantMode.PAPER) -> float:
+    """c(d, 2-s), the constant of the fractional Laplacian of order s.
+
+    Gamma((d-2+s)/2) is taken from s itself, as in ``h_constant``: through the
+    rounded sigma = 2 - s, the pole at d - 2 + s = 0 (s = 1 in 1D) would
+    amplify that rounding by 1/|s - 1|.
+    """
+    return _riesz_constant(d, 2.0 - s, (d - 2.0 + s) / 2.0, mode)
 
 
 def h_constant(d: int, s: float, mode: ConstantMode = ConstantMode.PAPER) -> float:

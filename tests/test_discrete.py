@@ -391,6 +391,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="no data"):
             load_matrix_csv(path)
 
+    @pytest.mark.parametrize("text", ["1,2\r\n2,1\r\n", "1,2\r2,1\r", "1,2\n2,1",
+                                      "1,2\n2,1\n  \t "],
+                             ids=["crlf", "cr", "no-last-newline", "whitespace-last-line"])
+    def test_line_ends_give_the_plain_newline_array(self, tmp_path, text):
+        path = tmp_path / "m.csv"
+        path.write_bytes(text.encode())
+        np.testing.assert_array_equal(load_matrix_csv(path), [[1.0, 2.0], [2.0, 1.0]])
+
+    def test_form_feed_is_not_a_line_end(self, tmp_path):
+        # str.splitlines would split here and read two rows
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"1,2\f3,4\n")
+        with pytest.raises(ValueError):
+            load_matrix_csv(path)
+
     def test_writes_seventeen_digits_per_entry(self, tmp_path):
         M = np.random.default_rng(4).standard_normal((5, 3)) * np.array([1e-300, 1.0, 1e300])
         path = tmp_path / "m.csv"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fraclap.special import (ConstantMode, FractionalOrder, gamma_ln,
+from fraclap.special import (ConstantMode, FractionalOrder, fraclap_constant, gamma_ln,
                              gamma_value, h_constant, radial_laplacian,
                              riesz_constant)
 from fraclap.errors import GammaPole
@@ -101,6 +101,36 @@ class TestRieszConstant:
         assert ConstantMode.parse("STANDARD") is ConstantMode.STANDARD
         with pytest.raises(ValueError):
             ConstantMode.parse("bogus")
+
+
+class TestFraclapConstant:
+    @pytest.mark.parametrize("mode", list(ConstantMode))
+    @pytest.mark.parametrize("d,s", [(1, 1.0 + e) for e in (-1e-3, 1e-3, -1e-5, 1e-5, -1e-6, 1e-6)]
+                             + [(2, 0.01), (2, 0.3)])
+    def test_against_mpmath_at_the_exact_order(self, d, s, mode):
+        # c(d, 2-s) with 2 - s exact; the 1D cases sit beside the pole at s = 1, which
+        # amplified the rounding of sigma = 2 - s by 1/|s-1| (1.1e-10 at s = 1 - 1e-6).
+        # Measured worst 5.0e-16.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            sigma = 2 - mpmath.mpf(s)
+            p = sigma / 2 if mode is ConstantMode.PAPER else mpmath.mpf(d) / 2
+            exact = mpmath.gamma((d - sigma) / 2) / (
+                mpmath.pi ** p * 2 ** sigma * mpmath.gamma(sigma / 2))
+            err = abs(fraclap_constant(d, s, mode) - exact) / abs(exact)
+        assert err <= 1e-15
+
+    @pytest.mark.parametrize("mode", list(ConstantMode))
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("s", [0.5, 0.75, 1.5])
+    def test_bits_of_the_potential_constant_where_sigma_is_exact(self, d, s, mode):
+        assert fraclap_constant(d, s, mode) == riesz_constant(d, 2.0 - s, mode)
+
+    def test_rejects_an_order_outside_0_2_and_the_pole(self):
+        with pytest.raises(ValueError):
+            fraclap_constant(2, 2.0)
+        with pytest.raises(GammaPole):
+            fraclap_constant(1, 1.0)
 
 
 class TestHConstant:
