@@ -405,9 +405,13 @@ class TestSampledField:
 
     def test_run_time_paths_do_not_import_scipy(self, tmp_path):
         # every route in both dimensions, on analytic and sampled fields, the
-        # potential, and the diffuse and matpow commands run on numpy alone,
-        # without numpy.polynomial
+        # potential, every validate suite and every CLI command run on numpy
+        # alone, without numpy.polynomial
+        out = str(tmp_path / "out.csv")
         code = textwrap.dedent(f"""
+            import contextlib
+            import io
+            import json
             import sys
             import numpy as np
             from fraclap import cli
@@ -415,6 +419,7 @@ class TestSampledField:
                                         make_interval_grid, make_rectangle_grid)
             from fraclap.operators import Definition, FracLapRequest, evaluate
             from fraclap.riesz import PotentialRequest, riesz_potential_field
+            from fraclap.validate import SUITES
             for grid, x in ((make_interval_grid(0.0, 1.0, 11), [0.4]),
                             (make_rectangle_grid(0.0, 1.0, 0.0, 1.0, 9, 9), [[0.4, 0.55]])):
                 phi = TestFunction.gaussian_bump([0.5] * grid.dim, 0.2)
@@ -432,8 +437,26 @@ class TestSampledField:
                          ["matpow", "--assemble", "1d:12,1", "--s", "0.75",
                           "--apply", {str(tmp_path / "v.csv")!r}],
                          ["matpow", "--assemble", "2d:4,3,1,1", "--s", "0.75",
-                          "--check", "semigroup"]):
+                          "--check", "semigroup"],
+                         ["matpow", "--assemble", "2d:4,3,1,1", "--s", "0.75",
+                          "--check", "spectral"],
+                         ["matpow", "--assemble", "1d:8,1", "--s", "0.6", "--out", {out!r}],
+                         ["potential", "--d", "1", "--domain", "0,1", "--sigma", "0.5",
+                          "--func", "const:1", "--points", "0.25,0.5", "--out", {out!r}],
+                         ["potential", "--d", "2", "--domain", "0,1,0,1", "--sigma", "0.5",
+                          "--func", "gauss:0.5,0.5,0.2", "--points", "0.4,0.5", "--out", {out!r}],
+                         ["fraclap", "--d", "1", "--domain", "0,1", "--s", "0.5", "--def", "new",
+                          "--def", "augmented", "--func", "quad", "--points", "0.5",
+                          "--bc-from-func", "--out", {out!r}],
+                         ["fraclap", "--d", "2", "--domain", "0,1,0,1", "--s", "0.75",
+                          "--def", "hyper", "--def", "restated", "--func", "gauss:0.4,0.5,0.2",
+                          "--points", "0.4,0.5", "--out", {out!r}]):
                 assert cli.main(argv) == 0
+            with contextlib.redirect_stdout(io.StringIO()) as report:
+                assert cli.main(["validate", "--suite", "all"]) == 0
+            checks = json.loads(report.getvalue().splitlines()[-1])["checks"]
+            assert {{c["suite"] for c in checks}} == set(SUITES), checks
+            assert all(c["pass"] for c in checks), checks
             print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
             print(sorted(m for m in sys.modules if m.startswith("numpy.polynomial")))
         """)
