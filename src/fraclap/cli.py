@@ -23,6 +23,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -272,11 +273,9 @@ def _cmd_matpow(args):
               "apply": args.apply, "check": args.check,
               "boundary_conditions": "homogeneous dirichlet"}
     if args.check == "spectral":
-        eig = op.dense()
-        power = discrete.matrix_fractional_power(eig, alpha)
-        lam = np.sort(np.linalg.eigvalsh(power))
-        measured = float(np.max(np.abs(lam - eig.eigenvalues ** alpha)
-                                / np.maximum(eig.eigenvalues ** alpha, 1e-300)))
+        lam = np.sort(np.linalg.eigvalsh(discrete.matrix_fractional_power(op, alpha)))
+        want = np.sort(op.eigenvalues) ** alpha
+        measured = float(np.max(np.abs(lam - want) / np.maximum(want, 1e-300)))
         tol = 1e-10
     elif args.check == "semigroup":
         # K^(s/4) (K^(s/4) v) = K^(s/2) v on three seeded random vectors as one block,
@@ -299,7 +298,7 @@ def _cmd_matpow(args):
         out = discrete.apply_fraclap_discrete(op, args.s, vec)
         _write_output(args, "value", [_doubles(len(out), "\n") % tuple(out.tolist())], params)
         return 0
-    power = discrete.matrix_fractional_power(op.dense(), alpha)
+    power = discrete.matrix_fractional_power(op, alpha)
     rows = _matrix_rows(power)
     _write_output(args, ",".join(f"c{j}" for j in range(power.shape[1])), rows, params)
     return 0
@@ -431,7 +430,15 @@ _NUMERICAL_ERRORS = (GammaPole, NotSymmetric, NotPositiveDefinite)
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    # "--opt -1,1" is read as "--opt=-1,1": argparse takes a word that starts with "-" for
+    # an option unless it is one plain number, and no option here starts like a number
+    words = []
+    for word in sys.argv[1:] if argv is None else argv:
+        if words and words[-1][:2] == "--" and "=" not in words[-1] and re.match(r"-\.?\d", word):
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    args = build_parser().parse_args(words)
     try:
         return args.fn(args)
     except _NUMERICAL_ERRORS as exc:

@@ -6,23 +6,21 @@ discretization K of the (negative) Laplacian; with eigenpairs (lambda_i, v_i)
 the diffusion problem u' = -K^(s/2) u decouples into modes decaying at rate
 lambda_i^(s/2).
 
-Two decompositions share one interface (``n``, ``eigenvalues``,
-``to_modes``, ``from_modes``, ``dense``), so ``apply_fraclap_discrete`` and
-``modal_diffusion_solve`` take either.  ``to_modes`` and ``from_modes`` take
-a vector ``(n,)`` or a block ``(k, n)`` of k vectors, one per row, and
-transform the whole block in one pass; each row of a block gets the bits of
-its own single-vector call for ``DirichletStencil``, and agrees to round-off
-(a matrix product in place of a matrix-vector one) for ``EigenDecomposition``.
+Two decompositions share one interface: ``n``, ``eigenvalues``,
+``eigenvectors`` (columns, in the order of ``eigenvalues``), ``to_modes`` and
+``from_modes``, so ``matrix_fractional_power``, ``apply_fraclap_discrete`` and
+``modal_diffusion_solve`` take either.  ``to_modes`` and ``from_modes`` take a
+vector ``(n,)`` or a block ``(k, n)``, one vector per row, in one pass; each row
+of a block gets the bits of its own call for ``DirichletStencil``, and agrees to
+round-off for ``EigenDecomposition`` (a matrix product, not matrix-vector ones).
 
-- ``EigenDecomposition`` holds the dense eigenvectors of any SPD matrix,
-  from ``sym_eigendecompose`` (``numpy.linalg.eigh``, O(n^3)).
-- ``DirichletStencil`` is the uniform-grid Dirichlet stencil of
-  ``assemble_laplacian_1d/2d`` without the matrix.  The orthonormal DST-I
-  diagonalises it, so moving to and from modes is one ``numpy.fft.rfft``
-  of an odd extension per axis (O(n log n)) and the eigenvalues are
-  closed-form.  ``dense()`` is that transform applied to the identity, one
-  axis at a time, so the dense basis it hands ``matrix_fractional_power``
-  as an ``EigenDecomposition`` agrees with ``to_modes`` to about 1e-16.
+- ``EigenDecomposition``: ascending eigenvalues and eigenvectors of any SPD
+  matrix, from ``sym_eigendecompose`` (``numpy.linalg.eigh``, O(n^3)).
+- ``DirichletStencil``: the stencil of ``assemble_laplacian_1d/2d`` without the
+  matrix, diagonalised by the orthonormal DST-I.  Its modes come from the one
+  kernel ``_dst1`` (a ``numpy.fft.rfft`` of an odd extension along the last
+  axis, O(n log n)) once per axis; its eigenvectors are ``_dst1`` of the
+  identity joined by ``kron``, and its eigenvalues are closed-form.
 """
 
 from __future__ import annotations
@@ -101,10 +99,6 @@ class EigenDecomposition:
     def from_modes(self, c):
         return _vectors(c, self.n) @ self.eigenvectors.T
 
-    def dense(self) -> EigenDecomposition:
-        """Itself: the dense basis is already held."""
-        return self
-
 
 def _vectors(p, n):
     """``p`` as a float vector ``(n,)`` or block ``(k, n)``; any other shape is a ValueError."""
@@ -112,6 +106,15 @@ def _vectors(p, n):
     if p.ndim not in (1, 2) or p.shape[-1] != n:
         raise ValueError(f"expected a vector ({n},) or a block (k, {n}), got shape {p.shape}")
     return p
+
+
+def _dst1(x):
+    """Orthonormal DST-I along the last axis, from the real FFT of (0, x, 0, -x[::-1])."""
+    n = x.shape[-1]
+    odd = np.zeros(x.shape[:-1] + (2 * (n + 1),))
+    odd[..., 1:n + 1] = x
+    odd[..., n + 2:] = -x[..., ::-1]
+    return np.fft.rfft(odd).imag[..., 1:n + 1] * -math.sqrt(0.5 / (n + 1))
 
 
 @dataclass(frozen=True)
@@ -145,30 +148,19 @@ class DirichletStencil:
         axes = [laplacian_1d_eigenvalues(n, ln) for n, ln in zip(self.shape, self.lengths)]
         return functools.reduce(np.add.outer, axes).ravel()
 
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        """Columns in mode order: each axis's DST-I matrix (symmetric) joined by ``kron``."""
+        return functools.reduce(np.kron, [_dst1(np.eye(n)) for n in self.shape])
+
     def to_modes(self, p):
         p = _vectors(p, self.n)
-        lead = p.shape[:-1]
-        c = p.reshape(lead + self.shape)
-        for axis, n in enumerate(self.shape, start=len(lead)):
-            # the sine coefficients of the odd extension (0, c, 0, -reversed c)
-            # along the axis are the imaginary part of its real FFT
-            zero = np.zeros_like(c.take([0], axis))
-            odd = np.concatenate([zero, c, zero, -np.flip(c, axis)], axis=axis)
-            sines = np.fft.rfft(odd, axis=axis).imag.take(np.arange(1, n + 1), axis)
-            c = sines * -math.sqrt(0.5 / (n + 1))
+        c = p.reshape(p.shape[:-1] + self.shape)
+        for _ in self.shape:  # each axis last in turn, first axis first
+            c = _dst1(np.moveaxis(c, p.ndim - 1, -1))
         return c.reshape(p.shape)
 
     from_modes = to_modes
-
-    def dense(self) -> EigenDecomposition:
-        """Ascending eigenvalues with the product-sine eigenvectors: each axis's
-        orthonormal DST-I matrix is ``to_modes`` of the identity (the matrix is
-        symmetric), and the axes are joined by ``kron``."""
-        lam = self.eigenvalues
-        order = np.argsort(lam, kind="stable")
-        basis = functools.reduce(np.kron, [DirichletStencil((n,), (ln,)).to_modes(np.eye(n))
-                                           for n, ln in zip(self.shape, self.lengths)])
-        return EigenDecomposition(eigenvalues=lam[order], eigenvectors=basis[:, order])
 
 
 def _check_symmetric(matrix):
@@ -192,7 +184,7 @@ def sym_eigendecompose(matrix) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=lam, eigenvectors=vec)
 
 
-def matrix_fractional_power(eig: EigenDecomposition, alpha: float) -> np.ndarray:
+def matrix_fractional_power(eig: EigenDecomposition | DirichletStencil, alpha: float) -> np.ndarray:
     """V diag(lambda^alpha) V^T; symmetric positive definite for alpha >= 0."""
     if alpha < 0.0:
         raise ValueError(f"power must be nonnegative, got {alpha!r}")

@@ -261,7 +261,7 @@ def _suite_discrete():
     stencil = discrete.DirichletStencil((12, 9), (1.0, 0.75))
     ref = discrete.sym_eigendecompose(discrete.assemble_laplacian_2d(12, 9, 1.0, 0.75))
     p = rng.standard_normal(stencil.n)
-    pairs = [(stencil.dense().eigenvalues, ref.eigenvalues)]
+    pairs = [(np.sort(stencil.eigenvalues), ref.eigenvalues)]
     for s in (0.5, 1.0, 1.5):
         pairs.append((discrete.apply_fraclap_discrete(stencil, s, p),
                       discrete.apply_fraclap_discrete(ref, s, p)))

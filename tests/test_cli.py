@@ -301,6 +301,44 @@ class TestConflictingFlags:
         assert "error: one of the arguments --matrix --assemble is required" in err
 
 
+class TestNegativeListValues:
+    """A list value that starts with ``-`` parses the same after a space as after ``=``."""
+
+    CASES = [
+        (["fraclap", "--d", "1", "--s", "0.5", "--def", "new", "--func", "quad"],
+         [("--domain", "-1,1"), ("--points", "-0.5,0.5")]),
+        (["fraclap", "--d", "2", "--s", "0.75", "--def", "hyper", "--func", "gauss:0,0,0.3"],
+         [("--domain", "-1,1,-1,1"), ("--points", "-0.2,0.3;0.4,0.5")]),
+        (["potential", "--d", "1", "--sigma", "0.5", "--func", "gauss:-0.1,0.3"],
+         [("--domain", "-1,-0.25"), ("--points", "-.5,-0.625")]),
+    ]
+
+    @pytest.mark.parametrize("argv, pairs", CASES, ids=["1d", "2d", "potential"])
+    def test_space_form_matches_equals_form(self, capsys, argv, pairs):
+        texts = []
+        for words in ([w for pair in pairs for w in pair], [f"{o}={v}" for o, v in pairs]):
+            assert cli.main([*argv, *words]) == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] and texts[0].count("\n") > 1
+
+    def test_negative_time_reaches_the_times_check(self, capsys):
+        assert cli.main(["diffuse", "--assemble", "1d:4,1", "--s", "1", "--ic", "sine:1",
+                         "--times", "-1,0"]) == 2
+        assert "times must be nonnegative and not NaN" in capsys.readouterr().err
+
+    def test_negative_order_is_still_a_value(self, capsys):
+        assert cli.main(["matpow", "--assemble", "1d:4,1", "--s", "-0.5"]) == 2
+        assert "(0, 2]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--points", "--all-interior"], ["--points"]])
+    def test_missing_value_is_still_an_argument_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fraclap", "--d", "1", "--domain", "0,1", "--s", "0.5", "--def", "new",
+                      "--func", "quad", *argv])
+        assert exc.value.code == 2
+        assert "argument --points: expected one argument" in capsys.readouterr().err
+
+
 class TestMatpow:
     def test_check_semigroup(self):
         r = run_cli("matpow", "--assemble", "1d:12,1", "--s", "1.0",
@@ -566,7 +604,7 @@ class TestBlockWriter:
 
     def test_dense_power_matches_row_by_row_text(self, capsys):
         power = discrete.matrix_fractional_power(
-            discrete.DirichletStencil((8,), (1.0,)).dense(), 0.3)
+            discrete.DirichletStencil((8,), (1.0,)), 0.3)
         text = self._run(capsys, "matpow", "--assemble", "1d:8,1", "--s", "0.6")
         assert text == (",".join(f"c{j}" for j in range(8)) + "\n" + "".join(
             ",".join(f"{v:.17g}" for v in row) + "\n" for row in power))

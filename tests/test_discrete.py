@@ -216,15 +216,21 @@ def _gap(got, want):
 class TestDirichletStencil:
     """The matrix-free DST-I route against dense eigh of the assembled stencil."""
 
-    def test_dense_matches_eigh(self, shape, lengths):
+    def test_eigenpairs_match_eigh(self, shape, lengths):
+        # the stencil's eigenpairs are in mode order, eigh's ascending
         K = _assembled(shape, lengths)
         ref = sym_eigendecompose(K)
-        dense = DirichletStencil(shape, lengths).dense()
-        assert np.all(np.diff(dense.eigenvalues) >= 0.0)
-        assert _gap(dense.eigenvalues, ref.eigenvalues) <= 1e-12
-        v = dense.eigenvectors
-        assert _gap((v * dense.eigenvalues) @ v.T, K) <= 1e-12
+        stencil = DirichletStencil(shape, lengths)
+        assert _gap(np.sort(stencil.eigenvalues), ref.eigenvalues) <= 1e-12
+        v = stencil.eigenvectors
+        assert _gap((v * stencil.eigenvalues) @ v.T, K) <= 1e-12
         np.testing.assert_allclose(v.T @ v, np.eye(len(K)), rtol=0, atol=1e-12)
+
+    def test_eigenvectors_are_the_kron_of_the_axis_transforms(self, shape, lengths):
+        # column (p, q) is the product of the axes' DST-I columns p and q: mode order
+        want = functools.reduce(np.kron, [DirichletStencil((n,), (ln,)).to_modes(np.eye(n))
+                                          for n, ln in zip(shape, lengths)])
+        assert np.array_equal(DirichletStencil(shape, lengths).eigenvectors, want)
 
     def test_transform_diagonalises_stencil(self, shape, lengths):
         # modes come out in the order of `eigenvalues`, and the transform is its own inverse
@@ -249,7 +255,7 @@ class TestDirichletStencil:
     @pytest.mark.parametrize("alpha", [0.25, 0.375, 0.75])
     def test_power_matches_eigh(self, shape, lengths, alpha):
         ref = sym_eigendecompose(_assembled(shape, lengths))
-        got = matrix_fractional_power(DirichletStencil(shape, lengths).dense(), alpha)
+        got = matrix_fractional_power(DirichletStencil(shape, lengths), alpha)
         assert _gap(got, matrix_fractional_power(ref, alpha)) <= 1e-12
 
 
@@ -265,6 +271,29 @@ def test_transform_is_the_orthonormal_dst1(shape):
     assert np.linalg.norm(stencil.from_modes(got) - p) <= 1e-15 * np.linalg.norm(p)
 
 
+def _concatenate_dst1(p, shape):
+    """The stencil transform as an axis-generic concatenate/flip/take pipeline, kept here
+    to pin the bits of the last-axis kernel: a vector or block, one axis at a time."""
+    lead = p.shape[:-1]
+    c = p.reshape(lead + shape)
+    for axis, n in enumerate(shape, start=len(lead)):
+        zero = np.zeros_like(c.take([0], axis))
+        odd = np.concatenate([zero, c, zero, -np.flip(c, axis)], axis=axis)
+        sines = np.fft.rfft(odd, axis=axis).imag.take(np.arange(1, n + 1), axis)
+        c = sines * -math.sqrt(0.5 / (n + 1))
+    return c.reshape(p.shape)
+
+
+@pytest.mark.parametrize("shape", [(2,), (40,), (41,), (1000,), (2, 2), (12, 9), (7, 31),
+                                   (40, 40)])
+@pytest.mark.parametrize("rows", [None, 1, 3, 20], ids=["vector", "1-row", "3-row", "20-row"])
+def test_transform_keeps_the_bits_of_the_axis_pipeline(shape, rows):
+    stencil = DirichletStencil(shape, (1.0, 2.5)[:len(shape)])
+    p = np.random.default_rng(13).standard_normal(
+        stencil.n if rows is None else (rows, stencil.n))
+    assert np.array_equal(stencil.to_modes(p), _concatenate_dst1(p, shape))
+
+
 _PI = "3.14159265358979323846264338327950288"
 
 
@@ -276,26 +305,25 @@ def _reduced_sines(n, dtype=float):
 
 
 class TestDenseBasis:
-    """``dense()`` takes its basis from the stencil's own transform of the identity."""
+    """``eigenvectors`` is the stencil's own transform of the identity."""
 
     @pytest.mark.parametrize("n", [40, 200, 1000])
     def test_matches_argument_reduced_sines(self, n):
-        v = DirichletStencil((n,), (1.0,)).dense().eigenvectors
+        v = DirichletStencil((n,), (1.0,)).eigenvectors
         assert np.max(np.abs(v - _reduced_sines(n))) <= 4e-16
 
     def test_2d_is_the_kron_of_the_axes(self):
         stencil = DirichletStencil((6, 5), (1.0, 1.5))
-        order = np.argsort(stencil.eigenvalues, kind="stable")
-        want = np.kron(_reduced_sines(6), _reduced_sines(5))[:, order]
-        assert np.max(np.abs(stencil.dense().eigenvectors - want)) <= 4e-16
+        want = np.kron(_reduced_sines(6), _reduced_sines(5))
+        assert np.max(np.abs(stencil.eigenvectors - want)) <= 4e-16
 
     def test_orthonormal_at_n_1000(self):
-        v = DirichletStencil((1000,), (1.0,)).dense().eigenvectors
+        v = DirichletStencil((1000,), (1.0,)).eigenvectors
         assert np.max(np.abs(v.T @ v - np.eye(1000))) <= 5e-15
 
     def test_is_the_matrix_free_transform(self):
         stencil = DirichletStencil((40,), (1.0,))
-        assert np.array_equal(stencil.dense().eigenvectors, stencil.to_modes(np.eye(40)))
+        assert np.array_equal(stencil.eigenvectors, stencil.to_modes(np.eye(40)))
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
                         reason="needs an extended-precision long double")
@@ -305,7 +333,7 @@ class TestDenseBasis:
     def test_power_matches_extended_precision(self, shape, lengths, s):
         ld = np.longdouble
         stencil = DirichletStencil(shape, lengths)
-        got = matrix_fractional_power(stencil.dense(), s / 2.0)
+        got = matrix_fractional_power(stencil, s / 2.0)
         v = functools.reduce(np.kron, [_reduced_sines(n, ld) for n in shape])
         # the closed-form eigenvalues (4/h^2) sin^2(k pi / (2(n+1))), in long double
         lam = functools.reduce(np.add.outer, [
