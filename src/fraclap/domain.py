@@ -146,8 +146,11 @@ class Grid:
 def _make_grid(lo, hi, sizes):
     """The grid of ``sizes`` nodes per axis on the box [lo, hi]."""
     lo, hi = tuple(map(float, lo)), tuple(map(float, hi))
+    box = "x".join(f"[{a}, {b}]" for a, b in zip(lo, hi))
     if not all(b > a for a, b in zip(lo, hi)):  # written so that NaN fails too
-        raise ValueError("degenerate box " + "x".join(f"[{a}, {b}]" for a, b in zip(lo, hi)))
+        raise ValueError(f"degenerate box {box}")
+    if not all(math.isfinite(b - a) for a, b in zip(lo, hi)):  # an infinite end, or overflow
+        raise ValueError(f"box {box} has a side of infinite width")
     if min(sizes) < 3:
         raise ValueError(f"need at least 3 nodes per axis, got {'x'.join(map(str, sizes))}")
     return Grid(lo, hi, tuple(np.linspace(a, b, n) for a, b, n in zip(lo, hi, sizes)))

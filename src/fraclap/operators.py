@@ -14,7 +14,10 @@ Routes implemented, all for order s in (0, 2):
                       definition.  ``augmented`` carries the surface kernels
                       that actually come out of the identity;
                       ``augmented-asprinted`` uses exponent d+s and prefactor
-                      1/h on the surface as well, for comparison studies only.
+                      1/h on the surface as well, for comparison studies only:
+                      on the box scaled by lambda that surface term scales as
+                      lambda^-(2+s) and the body as lambda^-s, so it is not an
+                      operator of order s.
                       Both read finite boundary traces from a ``BoundaryData``.
 
 Every boundary term is one Green boundary sum of traces D and N over the

@@ -110,9 +110,8 @@ class GradedPanels:
     weights: np.ndarray
     dist: np.ndarray
 
-    def integrate_kernel(self, f=1.0) -> float:
-        """Integrate f(xi) * r^p: f a callable of the nodes, values at them, or a constant."""
-        vals = f(self.nodes) if callable(f) else f
+    def integrate_kernel(self, vals) -> float:
+        """Integrate f(xi) * r^p, given f's values at the nodes: an array, or one scalar."""
         return float(np.sum(self.weights * vals))
 
 
@@ -166,14 +165,14 @@ def _graded_rule(lo, hi, x, power, radial_order, order):
     return GradedPanels(nodes=pos.reshape(-1, d), weights=w.ravel(), dist=r.ravel())
 
 
-def graded_quadrature_rule(domain, singular_point, power=0.0, radial_order=DEFAULT_RADIAL_ORDER,
+def graded_quadrature_rule(grid, singular_point, power, radial_order=DEFAULT_RADIAL_ORDER,
                            gauss_order=DEFAULT_GAUSS_ORDER) -> GradedPanels:
-    """Build a rule for ``domain`` integrating f * r^power about ``singular_point``.
+    """Build a rule on the box of ``grid``, a ``domain.Grid``, integrating f * r^power
+    about ``singular_point``.
 
-    ``domain`` is a ``domain.Grid`` or a raw bounds tuple: (a, b) in 1D,
-    (a1, b1, a2, b2) in 2D.  ``power`` must exceed -d for the kernel to be
-    integrable, and a ``ValueError`` says so otherwise; the default 0 gives
-    a plain volume rule.  A point outside the box, or NaN, is a ``ValueError``.
+    ``power`` must exceed -d for the kernel to be integrable, and a ``ValueError``
+    says so otherwise; power 0 gives a plain volume rule.  A point outside the
+    box, or NaN, is a ``ValueError``.
 
     Only the fan over a facet through the point is dropped: a point however
     close to a facet, but off it, keeps that facet's fan.
@@ -182,12 +181,8 @@ def graded_quadrature_rule(domain, singular_point, power=0.0, radial_order=DEFAU
         raise ValueError(f"radial order must be >= 1, got {radial_order!r}")
     if gauss_order < 1:
         raise ValueError(f"gauss order must be >= 1, got {gauss_order!r}")
-    if hasattr(domain, "lo"):  # a Grid: its corners are float tuples already
-        lo, hi = domain.lo, domain.hi
-    else:
-        lo, hi = tuple(map(float, domain[0::2])), tuple(map(float, domain[1::2]))
-    d = len(lo)
+    d = grid.dim
     if not power > -d:  # written so that NaN fails too
         raise ValueError(f"r^power is not integrable in {d}D unless power > -{d}, got {power!r}")
     x = np.asarray(singular_point, float).reshape(d)
-    return _graded_rule(lo, hi, x, float(power), int(radial_order), gauss_order)
+    return _graded_rule(grid.lo, grid.hi, x, float(power), int(radial_order), gauss_order)

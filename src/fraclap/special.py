@@ -125,19 +125,9 @@ def h_constant(d: int, s: float, mode: ConstantMode = ConstantMode.PAPER) -> flo
     return num / den
 
 
-def radial_laplacian(f, r: float, d: int, df=None, d2f=None) -> float:
-    """Laplacian of a radial function: f''(r) + (d-1)/r f'(r).
-
-    Derivatives are taken from ``df``/``d2f`` when supplied, otherwise by
-    second-order central differences with step 1e-5 * max(r, 1).
-    """
+def radial_laplacian(r: float, d: int, df, d2f) -> float:
+    """Laplacian of a radial function f at radius r: f''(r) + (d-1)/r f'(r), given
+    its derivatives ``df`` = f' and ``d2f`` = f'' as callables of r."""
     if not r > 0.0:
         raise ValueError(f"radial_laplacian requires r > 0, got {r!r}")
-    if df is not None and d2f is not None:
-        fp, fpp = df(r), d2f(r)
-    else:
-        h = 1e-5 * max(r, 1.0)
-        fm, f0, fp_ = f(r - h), f(r), f(r + h)
-        fp = (fp_ - fm) / (2.0 * h)
-        fpp = (fp_ - 2.0 * f0 + fm) / (h * h)
-    return fpp + (d - 1.0) / r * fp
+    return d2f(r) + (d - 1.0) / r * df(r)

@@ -62,7 +62,7 @@ def test_02_radial_kernel_identity():
                 continue
             for r in np.geomspace(0.05, 5.0, 20):
                 lhs = radial_laplacian(
-                    lambda rr: rr ** (-beta), r, d,
+                    r, d,
                     df=lambda rr: -beta * rr ** (-beta - 1.0),
                     d2f=lambda rr: beta * (beta + 1.0) * rr ** (-beta - 2.0))
                 rhs = beta * s * r ** (-(d + s))

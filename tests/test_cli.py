@@ -139,6 +139,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("ValueError: ") and message in err
 
+    @pytest.mark.parametrize("cmd", [["fraclap", "--s", "0.5", "--def", "new"],
+                                     ["potential", "--sigma", "0.5"]], ids=["fraclap", "potential"])
+    @pytest.mark.parametrize("d, domain, point, shown", [
+        (1, "0,inf", "0.5", "[0.0, inf]"),
+        (1, "-1e308,1e308", "0.5", "[-1e+308, 1e+308]"),
+        (2, "0,1,0,inf", "0.5,0.5", "[0.0, 1.0]x[0.0, inf]"),
+    ])
+    def test_infinite_box_is_two_with_one_message(self, cmd, d, domain, point, shown):
+        # no NaN value, no margin error and no numpy warning: the box itself is refused
+        r = run_cli(*cmd, "--d", str(d), "--domain=" + domain, "--func", "quad",
+                    "--points", point)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr == f"ValueError: box {shown} has a side of infinite width\n"
+
     def test_numerical_errors_are_three(self):
         # gamma pole at d=1, s=1
         r = run_cli("fraclap", "--d", "1", "--domain", "0,1", "--s", "1.0",

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -48,6 +49,21 @@ class TestGrids:
             make_rectangle_grid(0, 1, 1, 1, 5, 5)
         with pytest.raises(ValueError):
             make_rectangle_grid(0, 1, 0, 1, 2, 5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lo, hi, shown", [
+        ((0.0,), (math.inf,), "[0.0, inf]"),
+        ((-math.inf,), (0.0,), "[-inf, 0.0]"),
+        ((-1e308,), (1e308,), "[-1e+308, 1e+308]"),
+        ((0.0, 0.0), (1.0, math.inf), "[0.0, 1.0]x[0.0, inf]"),
+        ((-1e308, 0.0), (1e308, 1.0), "[-1e+308, 1e+308]x[0.0, 1.0]"),
+    ], ids=["inf-hi", "inf-lo", "overflow", "rectangle-inf", "rectangle-overflow"])
+    def test_infinite_width_is_rejected_before_the_nodes(self, lo, hi, shown):
+        # linspace would fill such an axis with NaN and infinity, with warnings
+        make = make_interval_grid if len(lo) == 1 else make_rectangle_grid
+        args = [t for side in zip(lo, hi) for t in side] + [5] * len(lo)
+        with pytest.raises(ValueError, match=re.escape(f"box {shown} has a side of infinite width")):
+            make(*args)
 
     def test_distance_to_boundary(self):
         g1 = make_interval_grid(0.0, 1.0, 11)

@@ -175,7 +175,7 @@ class TestRadialLaplacian:
     def test_quadratic(self, d):
         # radial part of Laplacian applied to r^2 gives 2d in d dimensions
         for r in np.linspace(0.2, 3.0, 15):
-            out = radial_laplacian(lambda rr: rr ** 2, r, d)
+            out = radial_laplacian(r, d, lambda rr: 2.0 * rr, lambda rr: 2.0)
             assert abs(out - 2.0 * d) < 1e-5
 
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -185,7 +185,7 @@ class TestRadialLaplacian:
         beta = d - 2.0 + s
         for r in np.geomspace(0.05, 5.0, 20):
             lhs = radial_laplacian(
-                lambda rr: rr ** (-beta), r, d,
+                r, d,
                 df=lambda rr: -beta * rr ** (-beta - 1.0),
                 d2f=lambda rr: beta * (beta + 1.0) * rr ** (-beta - 2.0))
             rhs = beta * s * r ** (-(d + s))

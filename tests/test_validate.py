@@ -15,26 +15,19 @@ def test_every_check_passes(suite):
     assert not failed
 
 
-def test_kernel_identity_records_match_one_sweep_per_record():
-    # both kernel-identity records come from one sweep; each must equal a sweep of its own
-    def worst(analytic):
-        out = 0.0
-        for d in (1, 2, 3):
-            for s in (0.25, 0.5, 0.75, 1.25, 1.5, 1.75):
-                beta = d - 2.0 + s
-                f = lambda r: r ** (-beta)
-                derivs = {}
-                if analytic:
-                    derivs = {"df": lambda r: -beta * r ** (-beta - 1.0),
-                              "d2f": lambda r: beta * (beta + 1.0) * r ** (-beta - 2.0)}
-                for r in np.linspace(0.5, 2.0, 20):
-                    exact = beta * s * r ** (-(d + s))
-                    out = max(out, abs(radial_laplacian(f, r, d, **derivs) - exact) / abs(exact))
-        return out
+def test_kernel_identity_record_matches_its_own_sweep():
+    # the kernel-identity record must equal a sweep of its own over the same (d, s, r)
+    worst = 0.0
+    for d in (1, 2, 3):
+        for s in (0.25, 0.5, 0.75, 1.25, 1.5, 1.75):
+            beta = d - 2.0 + s
+            df = lambda r: -beta * r ** (-beta - 1.0)
+            d2f = lambda r: beta * (beta + 1.0) * r ** (-beta - 2.0)
+            for r in np.linspace(0.5, 2.0, 20):
+                exact = beta * s * r ** (-(d + s))
+                worst = max(worst, abs(radial_laplacian(r, d, df, d2f) - exact) / abs(exact))
 
     records = {r["check"]: r for r in run_suite("special")}
-    assert records["kernel identity (analytic)"]["measured"] == worst(True)
-    assert records["kernel identity (finite differences)"]["measured"] == worst(False)
-    assert list(records) == ["gamma recurrence", "kernel identity (analytic)",
-                             "kernel identity (finite differences)",
+    assert records["kernel identity (analytic)"]["measured"] == worst
+    assert list(records) == ["kernel identity (analytic)",
                              "h and riesz constant reciprocal identity"]
