@@ -19,9 +19,8 @@ from .greens import green_residual, volume_quadrature
 from .operators import (Definition, FracLapRequest, evaluate,
                         fraclap_augmented, fraclap_hypersingular, fraclap_new,
                         fraclap_restated, surface_integral)
-from .quadrature import GradedPanels, graded_quadrature_rule
-from .riesz import (PotentialRequest, RuleParams, riesz_potential_field,
-                    riesz_potential_point)
+from .quadrature import GradedPanels, RuleParams
+from .riesz import PotentialRequest, riesz_potential_field, riesz_potential_point
 from .special import (ConstantMode, FractionalOrder, gamma_ln, gamma_value,
                       h_constant, radial_laplacian, riesz_constant)
 
@@ -32,8 +31,8 @@ __all__ = [
     "riesz_constant", "h_constant", "radial_laplacian",
     "Grid", "make_interval_grid", "make_rectangle_grid",
     "TestFunction", "BoundaryData", "boundary_quadrature",
-    "GradedPanels", "graded_quadrature_rule",
-    "PotentialRequest", "RuleParams", "riesz_potential_point", "riesz_potential_field",
+    "GradedPanels", "RuleParams",
+    "PotentialRequest", "riesz_potential_point", "riesz_potential_field",
     "Definition", "FracLapRequest", "evaluate", "fraclap_restated",
     "fraclap_hypersingular", "fraclap_new", "fraclap_augmented", "surface_integral",
     "green_residual", "volume_quadrature",

@@ -257,7 +257,7 @@ def _parse_assemble(spec):
                                          tuple(float(v) for v in vals[d:]))
     except ValueError as exc:
         raise ValueError(f"assembly spec {spec!r} expects {kind}:{','.join(names)} "
-                         f"(integer node counts, positive lengths): {exc}") from None
+                         f"(integer node counts, finite positive lengths): {exc}") from None
 
 
 def _cmd_matpow(args):

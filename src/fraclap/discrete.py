@@ -53,8 +53,10 @@ _SYM_TOL = 1e-12
 def _check_axis(n_interior, length):
     if n_interior < 2:
         raise ValueError(f"need at least 2 interior nodes, got {n_interior}")
-    if not length > 0:
-        raise ValueError(f"domain length must be positive, got {length!r}")
+    h = float(length) / (n_interior + 1)  # a Python float: no numpy overflow warning
+    if not (h > 0.0 and 0.0 < 4.0 / h / h < math.inf):  # so that NaN fails too
+        raise ValueError(f"domain length must be positive and finite, with 4/h^2 finite and "
+                         f"positive for h = length/(n+1), got {length!r}")
 
 
 def assemble_laplacian_1d(n_interior: int, length: float) -> np.ndarray:
@@ -77,6 +79,7 @@ def assemble_laplacian_2d(nx: int, ny: int, lx: float, ly: float) -> np.ndarray:
 
 def laplacian_1d_eigenvalues(n_interior: int, length: float) -> np.ndarray:
     """Closed-form eigenvalues (4/h^2) sin^2(k pi h / (2 L)) of the 1D stencil."""
+    _check_axis(n_interior, length)
     h = length / (n_interior + 1)
     k = np.arange(1, n_interior + 1)
     return (4.0 / h ** 2) * np.sin(k * np.pi * h / (2.0 * length)) ** 2

@@ -22,14 +22,15 @@ three-term recurrence, and the weights are the Christoffel numbers of the same
 recurrence.  The kernel is folded into the weights, jac * |c|^p * w_u * w_v,
 and a rule built for power p integrates f r^p as a plain weighted sum of f.
 
-One builder, cached per (beta, order), makes every rule: each fan's radial
-rule in both dimensions and, at beta = 0, the Gauss-Legendre rule that
-``gauss_panel`` maps onto all the panels of a composite rule at once.  Only
-the facets and the facet rule depend on the dimension; ``box_facets``
-(vertices, outward normals and sizes) and ``facet_rule`` (one node of weight 1
-on an endpoint, Gauss panels along an edge) also make
-``domain.boundary_quadrature``.  Both are cached, the facets per box, so every
-rule on a grid shares one table.
+``RuleParams.build`` is the one builder of a graded rule, its orders checked
+once when the ``RuleParams`` is made.  One radial builder, cached per (beta,
+order), makes every 1D rule: each fan's radial rule in both dimensions and, at
+beta = 0, the Gauss-Legendre rule that ``gauss_panel`` maps onto all the
+panels of a composite rule at once.  Only the facets and the facet rule depend
+on the dimension; ``box_facets`` (vertices, outward normals and sizes) and
+``facet_rule`` (one node of weight 1 on an endpoint, Gauss panels along an
+edge) also make ``domain.boundary_quadrature``.  Both are cached, the facets
+per box, so every rule on a grid shares one table.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["GradedPanels", "box_facets", "facet_rule", "gauss_panel", "graded_quadrature_rule"]
+__all__ = ["GradedPanels", "RuleParams", "box_facets", "facet_rule", "gauss_panel"]
 
 DEFAULT_RADIAL_ORDER = 32
 DEFAULT_GAUSS_ORDER = 8
@@ -165,24 +166,33 @@ def _graded_rule(lo, hi, x, power, radial_order, order):
     return GradedPanels(nodes=pos.reshape(-1, d), weights=w.ravel(), dist=r.ravel())
 
 
-def graded_quadrature_rule(grid, singular_point, power, radial_order=DEFAULT_RADIAL_ORDER,
-                           gauss_order=DEFAULT_GAUSS_ORDER) -> GradedPanels:
-    """Build a rule on the box of ``grid``, a ``domain.Grid``, integrating f * r^power
-    about ``singular_point``.
+@dataclass(frozen=True)
+class RuleParams:
+    """Quadrature orders: Gauss-Jacobi nodes along each chord of a Duffy fan,
+    and Gauss nodes per angular panel of a rectangle's edge: integers >= 1, checked
+    once when the object is made (``operator.index`` raises the TypeError)."""
 
-    ``power`` must exceed -d for the kernel to be integrable, and a ``ValueError``
-    says so otherwise; power 0 gives a plain volume rule.  A point outside the
-    box, or NaN, is a ``ValueError``.
+    radial_order: int = DEFAULT_RADIAL_ORDER
+    gauss_order: int = DEFAULT_GAUSS_ORDER
 
-    Only the fan over a facet through the point is dropped: a point however
-    close to a facet, but off it, keeps that facet's fan.
-    """
-    if radial_order < 1:
-        raise ValueError(f"radial order must be >= 1, got {radial_order!r}")
-    if gauss_order < 1:
-        raise ValueError(f"gauss order must be >= 1, got {gauss_order!r}")
-    d = grid.dim
-    if not power > -d:  # written so that NaN fails too
-        raise ValueError(f"r^power is not integrable in {d}D unless power > -{d}, got {power!r}")
-    x = np.asarray(singular_point, float).reshape(d)
-    return _graded_rule(grid.lo, grid.hi, x, float(power), int(radial_order), gauss_order)
+    def __post_init__(self):
+        for name in ("radial", "gauss"):
+            order = operator.index(getattr(self, name + "_order"))
+            if order < 1:
+                raise ValueError(f"{name} order must be >= 1, got {order!r}")
+            object.__setattr__(self, name + "_order", order)
+
+    def build(self, grid, x, power) -> GradedPanels:
+        """The rule on the box of ``grid``, a ``domain.Grid``, integrating f * r^power about x.
+
+        ``power`` must exceed -d for the kernel to be integrable, and a ``ValueError``
+        says so otherwise; power 0 gives a plain volume rule.  A point outside the
+        box, or NaN, is a ``ValueError``.  Only the fan over a facet through the point
+        is dropped: a point however close to a facet, but off it, keeps that facet's fan.
+        """
+        d = grid.dim
+        if not power > -d:  # written so that NaN fails too
+            raise ValueError(f"r^power is not integrable in {d}D unless power > -{d}, "
+                             f"got {power!r}")
+        x = np.asarray(x, float).reshape(d)
+        return _graded_rule(grid.lo, grid.hi, x, float(power), self.radial_order, self.gauss_order)

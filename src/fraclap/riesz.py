@@ -1,7 +1,9 @@
 """Truncated Riesz potential on a bounded domain.
 
 I[phi](x) = c(d, sigma) * integral over the domain of phi(xi) / r^(d-sigma),
-with r = |x - xi| and c the normalization from :mod:`fraclap.special`.
+with r = |x - xi| and c the normalization from :mod:`fraclap.special`.  The
+integral is one graded rule of :mod:`fraclap.quadrature` about x, built by the
+request's ``RuleParams`` (re-exported here) for the power sigma - d.
 """
 
 from __future__ import annotations
@@ -12,26 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import _public_points, as_field
-from .quadrature import (DEFAULT_GAUSS_ORDER, DEFAULT_RADIAL_ORDER, GradedPanels,
-                         graded_quadrature_rule)
+from .quadrature import RuleParams
 from .special import ConstantMode, riesz_constant
 
 __all__ = ["RuleParams", "FieldRequest", "PotentialRequest", "riesz_potential_point",
            "riesz_potential_field"]
-
-
-@dataclass(frozen=True)
-class RuleParams:
-    """Quadrature orders: Gauss-Jacobi nodes along each chord of a Duffy fan,
-    and Gauss nodes per angular panel of a rectangle's edge."""
-
-    radial_order: int = DEFAULT_RADIAL_ORDER
-    gauss_order: int = DEFAULT_GAUSS_ORDER
-
-    def build(self, grid, x, power) -> GradedPanels:
-        """Rule integrating f * r^power about x."""
-        return graded_quadrature_rule(grid, x, power, radial_order=self.radial_order,
-                                      gauss_order=self.gauss_order)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -64,9 +51,7 @@ class PotentialRequest(FieldRequest):
     sigma: float
 
     def __post_init__(self):
-        if not 0.0 < self.sigma < 2.0:
-            raise ValueError(f"potential order must lie in (0,2), got {self.sigma!r}")
-        # fail fast on gamma poles
+        # fail fast on an order outside (0, 2) or at a gamma pole
         riesz_constant(self.grid.dim, self.sigma, self.mode)
 
     def field_values(self):

@@ -171,6 +171,19 @@ class TestExitCodes:
             assert r.returncode == 2
             assert repr(spec) in r.stderr and message in r.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["diffuse", "--assemble", "1d:4,inf", "--s", "1", "--ic", "sine:1", "--times", "0,1"],
+        ["matpow", "--assemble", "1d:10,inf", "--s", "1", "--check", "semigroup"],
+        ["matpow", "--assemble", "2d:3,3,1,1e308", "--s", "1", "--check", "spectral"],
+        ["diffuse", "--assemble", "1d:4,1e-200", "--s", "1", "--ic", "sine:1", "--times", "0,1"],
+    ], ids=["diffuse-inf", "semigroup-inf", "spectral-1e308", "diffuse-1e-200"])
+    def test_side_without_a_finite_scale_is_two(self, argv):
+        # no nan rows, warning or traceback: one line naming the length
+        r = run_cli(*argv)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("ValueError: assembly spec ") and r.stderr.count("\n") == 1
+        assert "length must be positive and finite" in r.stderr
+
     def test_asymmetric_matrix_is_three(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1,2\n0,1\n")

@@ -398,6 +398,26 @@ class TestDirichletStencilValidation:
         with pytest.raises(ValueError):
             apply_fraclap_discrete(DirichletStencil((4, 3), (1.0, 1.0)), 1.0, np.zeros(7))
 
+    # an infinite side, and sides whose 4/h^2 overflows (h tiny) or underflows to 0 (h huge)
+    @pytest.mark.parametrize("n, length", [(4, math.inf), (10, math.inf), (3, 1e308),
+                                           (4, 1e-200), (3, 1e-160), (5, np.float64(1e-200)),
+                                           (2, 5e-324)])
+    def test_side_without_a_finite_scale_is_refused(self, n, length):
+        makers = (lambda: DirichletStencil((n,), (length,)),
+                  lambda: DirichletStencil((3, n), (1.0, length)),
+                  lambda: assemble_laplacian_1d(n, length),
+                  lambda: assemble_laplacian_2d(n, 3, length, 1.0),
+                  lambda: laplacian_1d_eigenvalues(n, length))
+        for make in makers:
+            with pytest.raises(ValueError, match=r"length must be positive and finite.*got "):
+                make()
+
+    @pytest.mark.parametrize("length", [1e-150, 1e150])
+    def test_extreme_side_with_a_finite_scale_is_kept(self, length):
+        assert np.isfinite(assemble_laplacian_1d(3, length)).all()
+        lam = DirichletStencil((3, 3), (1.0, length)).eigenvalues
+        assert np.isfinite(lam).all() and (lam > 0.0).all()
+
 
 class TestSerialization:
     def test_matrix_roundtrip_exact(self, tmp_path):

@@ -19,7 +19,7 @@ from fraclap.domain import (BoundaryData, Grid, TestFunction,
                             boundary_quadrature, make_interval_grid, make_rectangle_grid)
 from fraclap.errors import MissingBoundaryData
 from fraclap.operators import Definition, FracLapRequest, evaluate
-from fraclap.quadrature import box_facets, graded_quadrature_rule
+from fraclap.quadrature import RuleParams, box_facets
 
 
 class TestGrids:
@@ -140,7 +140,7 @@ class TestGrids:
         # the boundary rule and every volume rule on the box read the same table
         boundary_quadrature(grid)
         for x in grid.interior_nodes():
-            graded_quadrature_rule(grid, x, -0.5)
+            RuleParams().build(grid, x, -0.5)
         assert box_facets.cache_info().misses == misses
         again = box_facets(grid.lo, grid.hi)
         assert all(a is b for a, b in zip(again, (verts, normals, size)))

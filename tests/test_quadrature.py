@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fraclap.domain import boundary_quadrature, make_interval_grid, make_rectangle_grid
-from fraclap.quadrature import (DEFAULT_GAUSS_ORDER, _radial_rule, box_facets, facet_rule,
-                                gauss_panel, graded_quadrature_rule)
-from fraclap.riesz import RuleParams
+from fraclap.quadrature import (DEFAULT_GAUSS_ORDER, RuleParams, _radial_rule, box_facets,
+                                facet_rule, gauss_panel)
 
 
 def _box(bounds):
@@ -177,7 +176,7 @@ class TestLegendreRule:
 
 class TestGradedRule1D:
     def test_smooth_integrand(self):
-        rule = graded_quadrature_rule(_box((0.0, 1.0)), 0.3, 0.0)
+        rule = RuleParams().build(_box((0.0, 1.0)), 0.3, 0.0)
         assert rule.nodes.shape == (len(rule.weights), 1)
         val = rule.integrate_kernel(rule.nodes[:, 0] ** 3)
         assert val == pytest.approx(0.25, rel=1e-13)
@@ -185,20 +184,20 @@ class TestGradedRule1D:
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.9])
     def test_endpoint_singularity_closed_form(self, alpha):
         # integral of x^-alpha over (0, 1] equals 1/(1-alpha)
-        rule = graded_quadrature_rule(_box((0.0, 1.0)), 0.0, -alpha)
+        rule = RuleParams().build(_box((0.0, 1.0)), 0.0, -alpha)
         val = rule.integrate_kernel(1.0)
         assert val == pytest.approx(1.0 / (1.0 - alpha), rel=1e-12)
 
     @pytest.mark.parametrize("x0", [0.25, 0.5, 0.8])
     @pytest.mark.parametrize("alpha", [0.5, 0.95])
     def test_interior_singularity_closed_form(self, x0, alpha):
-        rule = graded_quadrature_rule(_box((0.0, 1.0)), x0, -alpha)
+        rule = RuleParams().build(_box((0.0, 1.0)), x0, -alpha)
         expect = (x0 ** (1 - alpha) + (1 - x0) ** (1 - alpha)) / (1 - alpha)
         assert rule.integrate_kernel(1.0) == pytest.approx(expect, rel=1e-11)
 
     def test_kernel_with_field_factor(self):
         # integral of x * x^-0.5 over (0,1] = 2/3 (field evaluated at nodes)
-        rule = graded_quadrature_rule(_box((0.0, 1.0)), 0.0, -0.5)
+        rule = RuleParams().build(_box((0.0, 1.0)), 0.0, -0.5)
         assert rule.nodes.shape == (len(rule.weights), 1)
         val = rule.integrate_kernel(rule.nodes[:, 0])
         assert val == pytest.approx(2.0 / 3.0, rel=1e-10)
@@ -212,14 +211,14 @@ class TestGradedRule1D:
                   + quad(np.cos, x0, 1.0, weight="alg", wvar=(-alpha, 0.0))[0])
         errs = []
         for order in (2, 4, 8):
-            rule = graded_quadrature_rule(_box((0.0, 1.0)), x0, -alpha, radial_order=order)
+            rule = RuleParams(radial_order=order).build(_box((0.0, 1.0)), x0, -alpha)
             assert rule.nodes.shape == (len(rule.weights), 1)
             errs.append(abs(rule.integrate_kernel(np.cos(rule.nodes[:, 0])) - expect))
         assert errs[1] < 0.5 * errs[0] or errs[1] < 1e-12
         assert errs[2] < 0.5 * errs[1] or errs[2] < 1e-12
 
     def test_weights_positive_distances_match(self):
-        rule = graded_quadrature_rule(_box((0.0, 1.0)), 0.4, 0.0)
+        rule = RuleParams().build(_box((0.0, 1.0)), 0.4, 0.0)
         assert np.all(rule.weights > 0.0)
         assert np.all(rule.dist > 0.0)
         assert rule.nodes.shape == (len(rule.weights), 1)
@@ -227,31 +226,31 @@ class TestGradedRule1D:
                                    rtol=1e-7, atol=1e-16)
 
     def test_total_weight_is_measure(self):
-        rule = graded_quadrature_rule(_box((0.0, 2.0)), 1.3, 0.0)
+        rule = RuleParams().build(_box((0.0, 2.0)), 1.3, 0.0)
         assert np.sum(rule.weights) == pytest.approx(2.0, rel=1e-12)
 
 
 class TestGradedRule2D:
     def test_smooth_integrand(self):
-        rule = graded_quadrature_rule(_box((0.0, 1.0, 0.0, 1.0)), [0.4, 0.55], 0.0)
+        rule = RuleParams().build(_box((0.0, 1.0, 0.0, 1.0)), [0.4, 0.55], 0.0)
         val = rule.integrate_kernel(rule.nodes[:, 0] ** 2 * rule.nodes[:, 1])
         assert val == pytest.approx(1.0 / 6.0, rel=1e-12)
 
     def test_total_weight_is_area(self):
-        rule = graded_quadrature_rule(_box((0.0, 2.0, 0.0, 1.5)), [0.7, 0.9], 0.0)
+        rule = RuleParams().build(_box((0.0, 2.0, 0.0, 1.5)), [0.7, 0.9], 0.0)
         assert np.sum(rule.weights) == pytest.approx(3.0, rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_singular_kernel_against_polar_oracle(self, alpha):
         rect = (0.0, 1.0, 0.0, 1.0)
         xs = [0.4, 0.55]
-        rule = graded_quadrature_rule(_box(rect), xs, -alpha)
+        rule = RuleParams().build(_box(rect), xs, -alpha)
         expect = _polar_square_oracle(rect, xs, alpha)
         assert rule.integrate_kernel(1.0) == pytest.approx(expect, rel=1e-9)
 
     def test_corner_singularity(self):
         rect = (0.0, 1.0, 0.0, 1.0)
-        rule = graded_quadrature_rule(_box(rect), [0.0, 0.0], -1.0)
+        rule = RuleParams().build(_box(rect), [0.0, 0.0], -1.0)
         expect = _polar_square_oracle(rect, [1e-14, 1e-14], 1.0)
         assert rule.integrate_kernel(1.0) == pytest.approx(expect, rel=1e-7)
 
@@ -278,8 +277,7 @@ class TestGradedRuleFans:
     def test_weights_and_fans_cover_the_box(self, dim, data, radial_order, gauss_order):
         bounds, x = data.draw(_boxes_and_points(dim))
         measure = np.prod(bounds[1::2] - bounds[0::2])
-        rule = graded_quadrature_rule(_box(bounds), x, 0.0, radial_order=radial_order,
-                                      gauss_order=gauss_order)
+        rule = RuleParams(radial_order, gauss_order).build(_box(bounds), x, 0.0)
         assert np.sum(rule.weights) == pytest.approx(measure, rel=1e-13)
         # the fans from x over the box's facets, a simplex each, add up to the box
         verts, _, _ = box_facets(tuple(bounds[0::2]), tuple(bounds[1::2]))
@@ -298,8 +296,7 @@ class TestGradedRuleFans:
     @given(box=_boxes_and_points(1), alpha=st.floats(0.05, 0.95), **_RULE_PARAMS)
     def test_interval_kernel_closed_form(self, box, alpha, radial_order, gauss_order):
         (a, b), (x,) = box
-        rule = graded_quadrature_rule(_box((a, b)), x, -alpha, radial_order=radial_order,
-                                      gauss_order=gauss_order)
+        rule = RuleParams(radial_order, gauss_order).build(_box((a, b)), x, -alpha)
         expect = ((x - a) ** (1.0 - alpha) + (b - x) ** (1.0 - alpha)) / (1.0 - alpha)
         assert rule.integrate_kernel(1.0) == pytest.approx(expect, rel=1e-7)
 
@@ -320,7 +317,7 @@ class TestFanJacobians:
         a, b = (0.0, 1.0) if points[0] >= 0.0 else (-1.0, 0.0)
         box = _box((a, b))
         mismatched = [x for x in points.tolist()
-                      if graded_quadrature_rule(box, x, 0.0, radial_order=1).weights.tolist()
+                      if RuleParams(radial_order=1).build(box, x, 0.0).weights.tolist()
                       != [x - a, b - x]]
         assert mismatched == []
 
@@ -328,21 +325,21 @@ class TestFanJacobians:
         box, (bx, by) = _box((-0.75, 1.25, 0.5, 1.5)), (2.0, 1.0)
         _, wv = facet_rule(2, 4, DEFAULT_GAUSS_ORDER)
         for x, y in np.random.default_rng(22).uniform((-0.75, 0.5), (1.25, 1.5), (200, 2)):
-            w = graded_quadrature_rule(box, (x, y), 0.0, radial_order=1).weights
+            w = RuleParams(radial_order=1).build(box, (x, y), 0.0).weights
             jac = np.array([(y - 0.5) * bx, (1.25 - x) * by, (1.5 - y) * bx, (x + 0.75) * by])
             assert np.array_equal(w.reshape(4, -1), (0.5 * jac)[:, None] * wv)
 
     @pytest.mark.filterwarnings("error")
     def test_only_a_facet_through_the_point_loses_its_fan(self):
         box, area = _box((0.0, 2.0, 0.0, 1.0)), 2.0
-        on_edge = graded_quadrature_rule(box, (0.5, 0.0), 0.0, radial_order=1)
-        near = graded_quadrature_rule(box, (0.5, 1e-300), 0.0, radial_order=1)
+        on_edge = RuleParams(radial_order=1).build(box, (0.5, 0.0), 0.0)
+        near = RuleParams(radial_order=1).build(box, (0.5, 1e-300), 0.0)
         nv = len(facet_rule(2, 4, DEFAULT_GAUSS_ORDER)[1])
         assert len(on_edge.weights) == 3 * nv and len(near.weights) == 4 * nv
         assert np.sum(near.weights[:nv]) == pytest.approx(0.5 * 1e-300 * 2.0, rel=1e-14)
         for rule in (on_edge, near):
             assert np.sum(rule.weights) == pytest.approx(area, rel=1e-13)
-        kernel = graded_quadrature_rule(box, (0.5, 1e-300), -1.9)
+        kernel = RuleParams().build(box, (0.5, 1e-300), -1.9)
         assert np.all(np.isfinite(kernel.weights)) and np.all(kernel.weights > 0.0)
         assert math.isfinite(kernel.integrate_kernel(1.0))
 
@@ -356,8 +353,6 @@ class TestFanJacobians:
         shown = np.asarray(x, float).reshape(-1).tolist()
         message = re.escape(f"singular point {shown} outside the box {lo} to {hi}")
         grid = _box(bounds)
-        with pytest.raises(ValueError, match=message):
-            graded_quadrature_rule(grid, x, -0.5)
         with pytest.raises(ValueError, match=message):
             RuleParams().build(grid, x, -0.5)
 
@@ -403,28 +398,45 @@ class TestRadialRule:
 class TestValidation:
     def test_singular_point_outside(self):
         with pytest.raises(ValueError):
-            graded_quadrature_rule(_box((0.0, 1.0)), 1.5, 0.0)
+            RuleParams().build(_box((0.0, 1.0)), 1.5, 0.0)
         with pytest.raises(ValueError):
-            graded_quadrature_rule(_box((0.0, 1.0, 0.0, 1.0)), [0.5, 2.0], 0.0)
+            RuleParams().build(_box((0.0, 1.0, 0.0, 1.0)), [0.5, 2.0], 0.0)
 
     @pytest.mark.parametrize("domain, x", [((0.0, 1.0), np.nan),
                                            ((0.0, 1.0, 0.0, 1.0), [np.nan, 0.5])])
     def test_nan_point_rejected(self, domain, x):
         with pytest.raises(ValueError, match="outside"):
-            graded_quadrature_rule(_box(domain), x, 0.0)
+            RuleParams().build(_box(domain), x, 0.0)
 
     def test_bad_radial_order(self):
-        with pytest.raises(ValueError, match="radial order"):
-            graded_quadrature_rule(_box((0.0, 1.0)), 0.5, 0.0, radial_order=0)
+        with pytest.raises(ValueError, match="radial order must be >= 1"):
+            RuleParams(radial_order=0)
 
     @pytest.mark.parametrize("domain, x, power", [((0.0, 1.0), 0.5, -1.0),
                                                   ((0.0, 1.0, 0.0, 1.0), [0.5, 0.5], -2.5)],
                              ids=["1d", "2d"])
     def test_non_integrable_power(self, domain, x, power):
         with pytest.raises(ValueError, match="not integrable"):
-            graded_quadrature_rule(_box(domain), x, power)
+            RuleParams().build(_box(domain), x, power)
 
     def test_bad_gauss_order(self):
-        for domain, x in (((0.0, 1.0), 0.5), ((0.0, 1.0, 0.0, 1.0), [0.5, 0.5])):
-            with pytest.raises(ValueError, match="gauss order"):
-                graded_quadrature_rule(_box(domain), x, 0.0, gauss_order=0)
+        with pytest.raises(ValueError, match="gauss order must be >= 1"):
+            RuleParams(gauss_order=0)
+
+    @pytest.mark.parametrize("order", [32.5, 8.0, np.float64(8)], ids=repr)
+    @pytest.mark.parametrize("name", ["radial_order", "gauss_order"])
+    def test_non_integer_order_is_a_type_error_when_made(self, name, order):
+        # refused before any rule is built, so alike in 1D, whose facets need no
+        # Gauss rule, and in 2D; a radial 32.5 is not truncated to 32
+        with pytest.raises(TypeError):
+            RuleParams(**{name: order})
+
+    @pytest.mark.parametrize("domain, x", [((0.0, 1.0), 0.3), ((0.0, 2.0, 0.0, 1.0), (0.7, 0.4))],
+                             ids=["1d", "2d"])
+    def test_numpy_integer_orders_give_the_int_rule(self, domain, x):
+        params = RuleParams(np.int64(16), np.int32(4))
+        assert type(params.radial_order) is int and type(params.gauss_order) is int
+        assert params == RuleParams(16, 4)
+        got, want = (p.build(_box(domain), x, -0.5) for p in (params, RuleParams(16, 4)))
+        for attr in ("nodes", "weights", "dist"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
